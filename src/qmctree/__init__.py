@@ -40,7 +40,6 @@ from .recovery import (
 from .maxent import (
     ConstraintSet,
     MaxEntSolution,
-    OperatorBasis,
     SolverConfig,
     bayesian_update,
     diagram_commutes,
@@ -68,7 +67,7 @@ __all__ = [
     "CompatReport", "PairSelection", "best_pair_min_entropy",
     "best_pair_mutual_info", "check_qmc_compatibility", "petz_recover",
     "relative_entropy_gap",
-    "ConstraintSet", "MaxEntSolution", "OperatorBasis", "SolverConfig",
+    "ConstraintSet", "MaxEntSolution", "SolverConfig",
     "bayesian_update", "diagram_commutes", "gell_mann_basis",
     "marginal_constraints", "solve_maxent",
     "QuantumTree", "WeightedEdgeList", "chow_liu_tree", "delta_s",

@@ -7,20 +7,16 @@ Exit status contract: 0 success (or positive verdict), 1 negative verdict,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .fileio import FileFormatError, read_density, write_density
-from .layout import LayoutError, SubsystemLayout
-from .linalg import trace_distance
+from .fileio import read_density, read_tree_description, write_density
+from .layout import SubsystemLayout
 from .maxent import (
     ConvergenceError,
     InfeasibleConstraintsError,
-    MaxEntError,
-    SolverConfig,
     diagram_commutes,
     marginal_constraints,
     solve_maxent,
@@ -33,19 +29,17 @@ from .recovery import (
     chain_pairs,
     chains_in_tie_order,
     check_qmc_compatibility,
+    compose_layouts,
     petz_recover,
-    _compose_layouts,
 )
 from .states import (
     MarginalSet,
     QmcSpec,
-    StateError,
+    pairwise_marginals,
     sample_density,
     sample_qmc,
 )
 from .tree import (
-    QuantumTree,
-    TreeError,
     TreeRecoveryError,
     delta_s,
     learn_tree,
@@ -55,16 +49,6 @@ from .tree import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-
-INPUT_ERRORS = (
-    FileFormatError,
-    LayoutError,
-    StateError,
-    RecoveryError,
-    TreeError,
-    MaxEntError,
-    ValueError,
-)
 
 
 def _emit(pairs):
@@ -111,7 +95,7 @@ def cmd_recover(args) -> int:
         state = result.state
         _emit([("pre_normalization_trace", result.pre_normalization_trace)])
     else:
-        _, _, _, layout = _compose_layouts(rho_ab, rho_bc)
+        _, _, _, layout = compose_layouts(rho_ab, rho_bc)
         constraints = marginal_constraints(
             MarginalSet(layout, (rho_ab, rho_bc), overlap_tol=args.tol_marginal)
         )
@@ -129,15 +113,8 @@ def cmd_recover(args) -> int:
 
 def cmd_select(args) -> int:
     if args.joint:
-        joint = read_density(args.joint)
-        marginals = {
-            tuple(sorted(p)): joint.marginal(sorted(p))
-            for p in [
-                (joint.labels[0], joint.labels[1]),
-                (joint.labels[1], joint.labels[2]),
-                (joint.labels[0], joint.labels[2]),
-            ]
-        }
+        # best_pair_mutual_info rejects a joint without exactly three labels
+        marginals = pairwise_marginals(read_density(args.joint))
     else:
         marginals = {}
         for path in args.pairs:
@@ -145,8 +122,6 @@ def cmd_select(args) -> int:
             if len(m.labels) != 2:
                 raise RecoveryError(f"{path}: expected a bipartite marginal")
             marginals[tuple(sorted(m.labels))] = m
-        if len(marginals) != 3:
-            raise RecoveryError("expected three distinct bipartite marginals")
     eps_m, eps_n = _tolerances(args)
     try:
         selection = best_pair_mutual_info(marginals, eps_m, eps_n)
@@ -193,7 +168,7 @@ def cmd_tree(args) -> int:
                 ("gap_neg_joint_entropy", gap.neg_joint_entropy),
             ])
     else:
-        tree = _read_tree_description(args.tree_file)
+        tree = read_tree_description(args.tree_file)
         estimator = tree_recover(tree, eps_m, eps_n).state
         ds = delta_s(tree, estimator)
     _emit([("edges", ";".join("".join(e) for e in tree.edges)),
@@ -204,24 +179,6 @@ def cmd_tree(args) -> int:
         write_density(args.output, estimator)
         _emit([("output", args.output)])
     return EXIT_OK
-
-
-def _read_tree_description(path) -> QuantumTree:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise FileFormatError(f"{path}: {err}") from err
-    for key in ("labels", "dims", "edges", "marginals"):
-        if key not in data:
-            raise FileFormatError(f"{path}: missing field {key!r}")
-    layout = SubsystemLayout(tuple(data["labels"]), tuple(data["dims"]))
-    edges = [tuple(e) for e in data["edges"]]
-    marginals = {}
-    for key, ref in data["marginals"].items():
-        pair = tuple(sorted(key.split(",")))
-        marginals[pair] = read_density(ref)
-    return QuantumTree(layout, edges, marginals)
 
 
 def cmd_diagram(args) -> int:
@@ -386,13 +343,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TreeRecoveryError as err:
+    except (TreeRecoveryError, ConvergenceError, InfeasibleConstraintsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ConvergenceError, InfeasibleConstraintsError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except INPUT_ERRORS as err:
+    except ValueError as err:  # every qmctree input error is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,5 +1,9 @@
 """Operator files: JSON with explicit [re, im] entries, row-major,
 big-endian multi-index.  Floats round-trip bit-exactly (repr serialization).
+
+Tree-description files are JSON objects with ``labels``, ``dims``,
+``edges`` (a list of label pairs) and ``marginals`` (a map from "X,Y"
+edge keys to operator-file paths).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import numpy as np
 
 from .layout import SubsystemLayout
 from .states import DensityOperator
+from .tree import QuantumTree
 
 
 class FileFormatError(ValueError):
@@ -21,6 +26,28 @@ def _require(cond: bool, message: str):
         raise FileFormatError(message)
 
 
+def _load_object(path) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise FileFormatError(f"{path}: invalid JSON at line {err.lineno}") from err
+    except OSError as err:
+        raise FileFormatError(f"{path}: {err}") from err
+    _require(isinstance(data, dict), f"{path}: top level must be an object")
+    return data
+
+
+def _layout_from_dict(data: dict, *fields) -> SubsystemLayout:
+    """The layout of a file object that must also hold ``fields``."""
+    for key in ("labels", "dims", *fields):
+        _require(key in data, f"missing field {key!r}")
+    try:
+        return SubsystemLayout(tuple(data["labels"]), tuple(data["dims"]))
+    except (TypeError, ValueError) as err:
+        raise FileFormatError(f"bad layout: {err}") from err
+
+
 def operator_to_dict(layout: SubsystemLayout, matrix: np.ndarray) -> dict:
     matrix = np.asarray(matrix, dtype=complex)
     _require(
@@ -30,51 +57,29 @@ def operator_to_dict(layout: SubsystemLayout, matrix: np.ndarray) -> dict:
     return {
         "labels": list(layout.labels),
         "dims": list(layout.dims),
-        "matrix": [
-            [[float(v.real), float(v.imag)] for v in row] for row in matrix
-        ],
+        "matrix": np.stack([matrix.real, matrix.imag], -1).tolist(),
     }
 
 
 def operator_from_dict(data: dict) -> tuple[SubsystemLayout, np.ndarray]:
-    for key in ("labels", "dims", "matrix"):
-        _require(key in data, f"missing field {key!r}")
+    layout = _layout_from_dict(data, "matrix")
+    d = layout.dim
+    message = f"matrix must be {d} rows of {d} [re, im] number pairs"
     try:
-        layout = SubsystemLayout(tuple(data["labels"]), tuple(data["dims"]))
-    except (TypeError, ValueError) as err:
-        raise FileFormatError(f"bad layout: {err}") from err
-    rows = data["matrix"]
-    _require(isinstance(rows, list) and len(rows) == layout.dim,
-             f"matrix must have {layout.dim} rows")
-    matrix = np.empty((layout.dim, layout.dim), dtype=complex)
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == layout.dim,
-                 f"row {i} must have {layout.dim} entries")
-        for j, entry in enumerate(row):
-            _require(
-                isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry),
-                f"entry ({i}, {j}) must be a [re, im] pair",
-            )
-            matrix[i, j] = complex(entry[0], entry[1])
-    return layout, matrix
+        entries = np.array(data["matrix"])
+    except ValueError as err:  # ragged nesting
+        raise FileFormatError(message) from err
+    _require(entries.shape == (d, d, 2) and entries.dtype.kind in "biuf", message)
+    return layout, entries.astype(float).view(complex)[..., 0]
 
 
 def write_operator(path, layout: SubsystemLayout, matrix: np.ndarray):
     with open(path, "w") as fh:
-        json.dump(operator_to_dict(layout, matrix), fh)
-        fh.write("\n")
+        fh.write(json.dumps(operator_to_dict(layout, matrix)) + "\n")
 
 
 def read_operator(path) -> tuple[SubsystemLayout, np.ndarray]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise FileFormatError(f"{path}: invalid JSON at line {err.lineno}") from err
-    except OSError as err:
-        raise FileFormatError(f"{path}: {err}") from err
-    _require(isinstance(data, dict), f"{path}: top level must be an object")
+    data = _load_object(path)
     try:
         return operator_from_dict(data)
     except FileFormatError as err:
@@ -91,3 +96,31 @@ def read_density(path) -> DensityOperator:
         return DensityOperator(layout, matrix)
     except ValueError as err:
         raise FileFormatError(f"{path}: not a density operator: {err}") from err
+
+
+def read_tree_description(path) -> QuantumTree:
+    """A tree-description file with the edge marginals it references."""
+    data = _load_object(path)
+    try:
+        layout = _layout_from_dict(data, "edges", "marginals")
+        edges, refs = data["edges"], data["marginals"]
+        _require(
+            isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2
+                and all(isinstance(l, str) for l in e)
+                for e in edges
+            ),
+            "edges must be a list of [label, label] pairs",
+        )
+        _require(
+            isinstance(refs, dict)
+            and all(isinstance(ref, str) for ref in refs.values()),
+            "marginals must map \"X,Y\" edge keys to operator-file paths",
+        )
+    except FileFormatError as err:
+        raise FileFormatError(f"{path}: {err}") from err
+    marginals = {
+        tuple(sorted(key.split(","))): read_density(ref)
+        for key, ref in refs.items()
+    }
+    return QuantumTree(layout, [tuple(e) for e in edges], marginals)

@@ -7,8 +7,9 @@ most significant factor, matching ``np.kron(first, ..., last)``.
 
 from __future__ import annotations
 
+import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ class SubsystemLayout:
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
-    cap: int = field(default=DEFAULT_DIM_CAP, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -38,15 +38,15 @@ class SubsystemLayout:
             raise LayoutError(f"duplicate labels in {self.labels}")
         if any(d < 1 for d in self.dims):
             raise LayoutError(f"dims must be >= 1, got {self.dims}")
-        if self.dim > self.cap:
+        if self.dim > DEFAULT_DIM_CAP:
             raise LayoutError(
-                f"total dimension {self.dim} exceeds cap {self.cap}"
+                f"total dimension {self.dim} exceeds cap {DEFAULT_DIM_CAP}"
             )
 
     @property
     def dim(self) -> int:
         """Total Hilbert-space dimension."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n(self) -> int:
@@ -69,7 +69,7 @@ class SubsystemLayout:
             raise LayoutError(f"unknown labels {sorted(unknown)}")
         pairs = [(l, d) for l, d in zip(self.labels, self.dims) if l in keep]
         return SubsystemLayout(
-            tuple(l for l, _ in pairs), tuple(d for _, d in pairs), cap=self.cap
+            tuple(l for l, _ in pairs), tuple(d for _, d in pairs)
         )
 
     def complement(self, labels) -> tuple[str, ...]:
@@ -112,7 +112,7 @@ def partial_trace(op: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
     spec = "".join(row) + "".join(col) + "->" + "".join(out)
 
     tensor = op.reshape(*layout.dims, *layout.dims)
-    kept_dim = int(np.prod([layout.dims[j] for j in keep_idx]))
+    kept_dim = math.prod(layout.dims[j] for j in keep_idx)
     return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
 
 
@@ -130,7 +130,7 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
                 f"target has {target.dim_of(label)}"
             )
     comp = target.complement(sub.labels)
-    comp_dim = int(np.prod([target.dim_of(l) for l in comp])) if comp else 1
+    comp_dim = math.prod(target.dim_of(l) for l in comp)
     full = np.kron(op, np.eye(comp_dim, dtype=complex))
 
     # current factor order: sub.labels then complement (in target order)
@@ -141,3 +141,26 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
     tensor = full.reshape(*cur_dims, *cur_dims)
     tensor = tensor.transpose(perm + [n + p for p in perm])
     return tensor.reshape(target.dim, target.dim)
+
+
+def union_find(labels):
+    """Disjoint sets over ``labels``, for spanning-tree checks and Kruskal.
+
+    Returns ``union(a, b)``, which joins the sets holding ``a`` and ``b``
+    and returns False when they were already one set, i.e. when the pair
+    closes a cycle.  Unknown labels raise KeyError.
+    """
+    parent = {l: l for l in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b) -> bool:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return ra != rb
+
+    return union

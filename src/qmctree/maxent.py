@@ -9,14 +9,17 @@ log prior for minimum-relative-entropy updating).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layout import SubsystemLayout, embed
-from .linalg import MatrixError, frobenius, is_hermitian, matrix_function
+from .linalg import MatrixError, is_hermitian, matrix_function, trace_distance
+from .recovery import compose_layouts
 from .states import DensityOperator, MarginalSet, maximally_mixed
-from .linalg import trace_distance
+
+# largest disagreement between two marginals' targets for a shared observable
+TARGET_TOL = 1e-8
 
 
 class MaxEntError(ValueError):
@@ -62,16 +65,6 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    dim: int
-    elements: tuple
-
-    @classmethod
-    def create(cls, d: int) -> "OperatorBasis":
-        return cls(d, tuple(gell_mann_basis(d)))
-
-
 # ---------------------------------------------------------------------------
 # constraints
 
@@ -107,23 +100,17 @@ class ConstraintSet:
         )
 
 
-def marginal_constraints(
-    marginals: MarginalSet, target_tol: float = 1e-8
-) -> ConstraintSet:
+def marginal_constraints(marginals: MarginalSet) -> ConstraintSet:
     """Expectation constraints pinning each marginal of the parent layout.
 
     For a marginal on factors (X, Y) these are the embedded basis products
     L_k L_l for (k, l) != (0, 0); shared-overlap duplicates are removed
     after a consistency check on their targets.
     """
-    return expectation_constraints(
-        marginals.parent, marginals.marginals, target_tol
-    )
+    return expectation_constraints(marginals.parent, marginals.marginals)
 
 
-def expectation_constraints(
-    layout: SubsystemLayout, marginals, target_tol: float = 1e-8
-) -> ConstraintSet:
+def expectation_constraints(layout: SubsystemLayout, marginals) -> ConstraintSet:
     """As marginal_constraints, but without requiring the marginals to
     cover the layout (used for one-step sequential updates)."""
     bases = {l: gell_mann_basis(layout.dim_of(l)) for l in set(layout.labels)}
@@ -143,15 +130,15 @@ def expectation_constraints(
             keys.append(
                 frozenset((l, k) for l, k in zip(sub.labels, idx) if k != 0)
             )
-    return _dedupe(layout, observables, targets, keys, target_tol)
+    return _dedupe(layout, observables, targets, keys)
 
 
-def _dedupe(layout, observables, targets, keys, target_tol: float = 1e-8):
+def _dedupe(layout, observables, targets, keys):
     seen = {}
     obs_out, tgt_out, key_out = [], [], []
     for obs, tgt, key in zip(observables, targets, keys):
         if key in seen:
-            if abs(tgt - tgt_out[seen[key]]) > target_tol:
+            if abs(tgt - tgt_out[seen[key]]) > TARGET_TOL:
                 raise ConstraintConflictError(
                     f"conflicting targets for shared observable {sorted(key)}: "
                     f"{tgt_out[seen[key]]} vs {tgt}"
@@ -350,9 +337,7 @@ def diagram_commutes(
     the diagram commutes exactly when the marginals admit a joint state with
     zero conditional correlation across the shared factor.
     """
-    from .recovery import _compose_layouts
-
-    _, _, _, layout = _compose_layouts(rho_ab, rho_bc)
+    _, _, _, layout = compose_layouts(rho_ab, rho_bc)
     c_ab = expectation_constraints(layout, (rho_ab,))
     c_bc = expectation_constraints(layout, (rho_bc,))
     uniform = maximally_mixed(layout)
@@ -361,11 +346,7 @@ def diagram_commutes(
     sigma2 = bayesian_update(sigma1, c_bc, config)
     varrho1 = bayesian_update(uniform, c_bc, config)
     varrho2 = bayesian_update(varrho1, c_ab, config)
-    joint = minimize_dual(
-        np.zeros((layout.dim, layout.dim), dtype=complex),
-        c_ab.merged_with(c_bc),
-        config,
-    ).state
+    joint = solve_maxent(c_ab.merged_with(c_bc), config).state
 
     d12 = trace_distance(sigma2.matrix, varrho2.matrix)
     d1j = trace_distance(sigma2.matrix, joint.matrix)

@@ -7,17 +7,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import LayoutError, SubsystemLayout, embed
-from .linalg import frobenius, matrix_function, support_cutoff, trace_distance
+from .linalg import frobenius, matrix_function, support_cutoff
 from .states import (
     DensityOperator,
     conditional_mutual_information,
     mutual_information,
-    relative_entropy,
+    overlap_distance,
+    pairwise_marginals,
     von_neumann_entropy,
 )
 
 DEFAULT_EPS_MARGINAL = 1e-8
 DEFAULT_EPS_NORMALITY = 1e-8
+# how far an estimator's marginals may stray from the marginals it was
+# built from before an entropy bookkeeping report refuses it
+ESTIMATOR_MARGINAL_TOL = 1e-6
 
 
 class RecoveryError(ValueError):
@@ -28,7 +32,7 @@ class IncompatiblePairsError(RecoveryError):
     """Raised when a selection rule's all-pairs hypothesis fails."""
 
 
-def _compose_layouts(
+def compose_layouts(
     rho_ab: DensityOperator, rho_bc: DensityOperator
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], SubsystemLayout]:
     """Split two overlapping marginals into (A, B, C) label groups."""
@@ -52,12 +56,6 @@ def _compose_layouts(
     return a, b, c, SubsystemLayout(labels, dims)
 
 
-def _overlap_residual(rho_ab, rho_bc, b_labels) -> float:
-    return trace_distance(
-        rho_ab.marginal(b_labels).matrix, rho_bc.marginal(b_labels).matrix
-    )
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     state: DensityOperator
@@ -77,13 +75,13 @@ def petz_recover(
     Applies the rotated transpose map to ``rho_ab`` (t = 0 is the plain
     map); the output is renormalized with the raw trace recorded.
     """
-    a, b, c, layout = _compose_layouts(rho_ab, rho_bc)
+    a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     if target is not None:
         if set(target.labels) != set(layout.labels):
             raise LayoutError("target layout labels do not match the marginals")
         layout = target
     if check_overlap:
-        residual = _overlap_residual(rho_ab, rho_bc, b)
+        residual = overlap_distance(rho_ab, rho_bc, b)
         if residual > eps_m:
             raise RecoveryError(
                 f"marginals disagree on {b}: trace distance {residual:.3e} "
@@ -131,8 +129,8 @@ def check_qmc_compatibility(
 ) -> CompatReport:
     """Test whether two overlapping marginals admit a joint state with zero
     conditional correlation across their shared factor."""
-    a, b, c, layout = _compose_layouts(rho_ab, rho_bc)
-    marg_res = _overlap_residual(rho_ab, rho_bc, b)
+    a, b, c, layout = compose_layouts(rho_ab, rho_bc)
+    marg_res = overlap_distance(rho_ab, rho_bc, b)
     rho_b = rho_bc.marginal(b)
 
     w_b = rho_b.eigenvalues()
@@ -211,7 +209,6 @@ def best_pair_mutual_info(
     source,
     eps_m: float = DEFAULT_EPS_MARGINAL,
     eps_n: float = DEFAULT_EPS_NORMALITY,
-    require_compatible: bool = True,
 ) -> PairSelection:
     """Discard the marginal with minimum mutual information and recover.
 
@@ -223,44 +220,32 @@ def best_pair_mutual_info(
     if isinstance(source, DensityOperator):
         if len(source.labels) != 3:
             raise LayoutError("mutual-information selection expects three factors")
-        marginals = {
-            tuple(sorted(p)): source.marginal(sorted(p))
-            for p in [
-                (source.labels[0], source.labels[1]),
-                (source.labels[1], source.labels[2]),
-                (source.labels[0], source.labels[2]),
-            ]
-        }
+        marginals = pairwise_marginals(source)
     else:
         marginals = {tuple(sorted(k)): v for k, v in source.items()}
     labels = _tripartite_labels(marginals)
 
-    if require_compatible:
-        for chain in chains_in_tie_order(labels):
-            p1, p2 = chain_pairs(chain)
-            report = check_qmc_compatibility(
-                marginals[p1], marginals[p2], eps_m, eps_n
+    for chain in chains_in_tie_order(labels):
+        p1, p2 = chain_pairs(chain)
+        report = check_qmc_compatibility(
+            marginals[p1], marginals[p2], eps_m, eps_n
+        )
+        if not report.verdict:
+            raise IncompatiblePairsError(
+                f"chain {'-'.join(chain)} fails the compatibility check "
+                f"(marginal residual {report.marginal_consistency_residual:.3e}, "
+                f"normality residual {report.normality_residual:.3e})"
             )
-            if not report.verdict:
-                raise IncompatiblePairsError(
-                    f"chain {'-'.join(chain)} fails the compatibility check "
-                    f"(marginal residual {report.marginal_consistency_residual:.3e}, "
-                    f"normality residual {report.normality_residual:.3e})"
-                )
 
     mi = {
         pair: mutual_information(m, (pair[0],), (pair[1],))
         for pair, m in marginals.items()
     }
     order = chains_in_tie_order(labels)
-    best = min(
-        order,
-        key=lambda c: (-(mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]]),
-                       order.index(c)),
-    )
+    scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
+    best = min(order, key=lambda c: (-scores[c], order.index(c)))
     p1, p2 = chain_pairs(best)
     estimator = petz_recover(marginals[p1], marginals[p2], eps_m=eps_m).state
-    scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
     return PairSelection(chain_discarded(best), best, scores, estimator)
 
 
@@ -290,14 +275,11 @@ def relative_entropy_gap(
     rho_true: DensityOperator,
     estimator: DensityOperator,
     chain: tuple[str, str, str],
-    eps_compat: float = 1e-6,
 ) -> RelativeEntropyGap:
     x, y, z = chain
     for pair in chain_pairs(chain):
-        dist = trace_distance(
-            rho_true.marginal(pair).matrix, estimator.marginal(pair).matrix
-        )
-        if dist > eps_compat:
+        dist = overlap_distance(rho_true, estimator, pair)
+        if dist > ESTIMATOR_MARGINAL_TOL:
             raise RecoveryError(
                 f"estimator violates the {pair} marginal by {dist:.3e}"
             )

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, partial_trace
+from .layout import LayoutError, SubsystemLayout, partial_trace, union_find
 from .linalg import (
     frobenius,
     hermitian_eig,
+    is_hermitian,
     support_cutoff,
     trace_distance,
 )
@@ -36,8 +38,7 @@ class DensityOperator:
             raise StateError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
-        scale = max(frobenius(m), 1.0)
-        if frobenius(m - m.conj().T) > 1e-10 * scale:
+        if not is_hermitian(m):
             raise StateError("matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if np.min(w) < -1e-10:
@@ -62,6 +63,18 @@ class DensityOperator:
     def is_full_rank(self) -> bool:
         w = self.eigenvalues()
         return bool(np.min(w) > support_cutoff(w))
+
+
+def pairwise_marginals(rho: DensityOperator) -> dict:
+    """Marginals of ``rho`` on every pair of its labels, keyed by sorted pair."""
+    return {
+        p: rho.marginal(p) for p in itertools.combinations(sorted(rho.labels), 2)
+    }
+
+
+def overlap_distance(a: DensityOperator, b: DensityOperator, shared) -> float:
+    """Trace distance between the reductions of ``a`` and ``b`` to ``shared``."""
+    return trace_distance(a.marginal(shared).matrix, b.marginal(shared).matrix)
 
 
 def maximally_mixed(layout: SubsystemLayout) -> DensityOperator:
@@ -103,9 +116,7 @@ class MarginalSet:
                 shared = set(a.labels) & set(b.labels)
                 if not shared:
                     continue
-                dist = trace_distance(
-                    a.marginal(shared).matrix, b.marginal(shared).matrix
-                )
+                dist = overlap_distance(a, b, shared)
                 if dist > self.overlap_tol:
                     raise StateError(
                         f"marginals on {a.labels} and {b.labels} disagree on "
@@ -258,13 +269,12 @@ def sample_qmc(
     spec: QmcSpec,
     seed=None,
     labels: tuple[str, str, str] = ("A", "B", "C"),
-    rotate: bool = True,
 ) -> DensityOperator:
     """Assemble a random block-direct-sum state with zero I(A:C|B).
 
     Each block is a product of two Hilbert-Schmidt samples; unless the spec
     carries an explicit rotation, a Haar-random unitary on the middle factor
-    hides the block basis (disable with ``rotate=False``).
+    hides the block basis.
     """
     rng = _rng(seed)
     da, db, dc = spec.dim_a, spec.dim_b, spec.dim_c
@@ -283,11 +293,10 @@ def sample_qmc(
         full += p * (lift @ block @ lift.conj().T)
         offset += dl * dr
     u = spec.basis_rotation
-    if u is None and rotate:
+    if u is None:
         u = random_unitary(db, rng)
-    if u is not None:
-        ub = np.kron(np.kron(np.eye(da), u), np.eye(dc))
-        full = ub @ full @ ub.conj().T
+    ub = np.kron(np.kron(np.eye(da), u), np.eye(dc))
+    full = ub @ full @ ub.conj().T
     full = (full + full.conj().T) / 2
     return DensityOperator(layout, full / np.trace(full).real)
 
@@ -329,19 +338,10 @@ def _check_spanning_tree(labels, edges):
     labels = tuple(labels)
     if len(edges) != len(labels) - 1:
         raise StateError(f"{len(edges)} edges cannot span {len(labels)} vertices")
-    parent = {l: l for l in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    union = union_find(labels)
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if not union(a, b):
             raise StateError(f"edge set contains a cycle through {a}-{b}")
-        parent[ra] = rb
 
 
 def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:

@@ -3,22 +3,22 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .layout import LayoutError, SubsystemLayout
+from .layout import LayoutError, SubsystemLayout, union_find
 from .linalg import trace_distance
 from .recovery import (
-    CompatReport,
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
+    ESTIMATOR_MARGINAL_TOL,
     check_qmc_compatibility,
     petz_recover,
 )
 from .states import (
+    OVERLAP_TOL,
     DensityOperator,
     mutual_information,
+    pairwise_marginals,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -46,21 +46,12 @@ def _check_spanning(labels, edges):
         raise TreeError(
             f"{len(edges)} edges cannot span {len(labels)} vertices"
         )
-    parent = {l: l for l in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    union = union_find(labels)
     for a, b in edges:
-        if a not in parent or b not in parent:
+        if a not in labels or b not in labels:
             raise TreeError(f"edge {a}-{b} uses an unknown vertex")
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if not union(a, b):
             raise TreeError(f"edge set has a cycle through {a}-{b}")
-        parent[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,6 @@ class QuantumTree:
     layout: SubsystemLayout
     edges: tuple
     edge_marginals: dict
-    overlap_tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
         edges = tuple(_sorted_pair(e) for e in self.edges)
@@ -92,7 +82,7 @@ class QuantumTree:
             ref = marginals[incident[0]].marginal((v,)).matrix
             for e in incident[1:]:
                 dist = trace_distance(ref, marginals[e].marginal((v,)).matrix)
-                if dist > self.overlap_tol:
+                if dist > OVERLAP_TOL:
                     raise TreeError(
                         f"edges {incident[0]} and {e} disagree on vertex {v!r}: "
                         f"trace distance {dist:.3e}"
@@ -149,9 +139,7 @@ class WeightedEdgeList:
     @classmethod
     def from_dict(cls, labels, weights: dict) -> "WeightedEdgeList":
         labels = tuple(labels)
-        expected = {
-            _sorted_pair(p) for p in itertools.combinations(sorted(labels), 2)
-        }
+        expected = set(itertools.combinations(sorted(labels), 2))
         weights = {_sorted_pair(k): float(v) for k, v in weights.items()}
         if set(weights) != expected:
             raise TreeError("weights must cover every pair of labels exactly once")
@@ -173,23 +161,8 @@ def chow_liu_tree(weights: WeightedEdgeList) -> tuple:
     order = sorted(
         zip(weights.pairs, weights.weights), key=lambda pw: (-pw[1], pw[0])
     )
-    parent = {l: l for l in weights.labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for pair, _ in order:
-        ra, rb = find(pair[0]), find(pair[1])
-        if ra != rb:
-            parent[ra] = rb
-            edges.append(pair)
-        if len(edges) == len(weights.labels) - 1:
-            break
-    return tuple(sorted(edges))
+    union = union_find(weights.labels)
+    return tuple(sorted(pair for pair, _ in order if union(*pair)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +222,6 @@ class DeltaSReport:
 def delta_s(
     tree: QuantumTree,
     estimator: DensityOperator,
-    eps_compat: float = 1e-6,
 ) -> DeltaSReport:
     """Sum of edge entropies minus weighted vertex entropies minus the
     estimator entropy, with its leaf-peeling conditional terms."""
@@ -259,7 +231,7 @@ def delta_s(
         dist = trace_distance(
             estimator.marginal(edge).matrix, marg.matrix
         )
-        if dist > eps_compat:
+        if dist > ESTIMATOR_MARGINAL_TOL:
             raise TreeError(
                 f"estimator violates the {edge} marginal by {dist:.3e}"
             )
@@ -310,13 +282,6 @@ class LearnedTree:
     estimator: DensityOperator
     delta_s_report: DeltaSReport
     gap: GapReport | None
-
-
-def pairwise_marginals(rho: DensityOperator) -> dict:
-    return {
-        _sorted_pair(p): rho.marginal(p)
-        for p in itertools.combinations(sorted(rho.labels), 2)
-    }
 
 
 def learn_tree(

@@ -53,6 +53,20 @@ class TestFileIO:
         assert back_layout == layout
         np.testing.assert_array_equal(back, m)
 
+    def test_array_conversion_matches_entry_loop(self, tmp_path, rng):
+        # reference: the per-entry conversion that the array code replaced
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m[0, 0] = complex(-0.0, 5e-324)
+        m[0, 1] = complex(1e308, -0.0)
+        path = tmp_path / "op.json"
+        write_operator(path, L3Q, m)
+        rows = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        expected = {"labels": ["A", "B", "C"], "dims": [2, 2, 2], "matrix": rows}
+        assert path.read_text() == json.dumps(expected) + "\n"
+        _, back = read_operator(path)
+        loop = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert back.tobytes() == loop.tobytes()
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -74,6 +88,22 @@ class TestFileIO:
         path.write_text(json.dumps(data))
         with pytest.raises(FileFormatError):
             read_density(path)
+
+    @pytest.mark.parametrize("matrix", [
+        [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],   # string
+        [[[0.5, 0.0], None], [[0.0, 0.0], [0.5, 0.0]]],           # null
+        [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]],                 # ragged row
+        [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]],                     # triples
+        [[[0.5, 0.0], [0.0, 0.0]]],                               # one row
+    ], ids=["string", "null", "ragged", "triple", "row_count"])
+    def test_malformed_entries(self, tmp_path, matrix):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"labels": ["A"], "dims": [2], "matrix": matrix}
+        ))
+        with pytest.raises(FileFormatError):
+            read_operator(path)
 
 
 @pytest.fixture
@@ -183,6 +213,22 @@ class TestSelect:
         assert report["rule"] == "min_entropy"
         assert "falling back" in captured.err
 
+    @pytest.mark.parametrize("labels,dims", [
+        ("A,B", "2,2"), ("A,B,C,D", "2,2,2,2"),
+    ])
+    def test_joint_without_three_labels_exit_two(
+        self, tmp_path, capsys, labels, dims
+    ):
+        joint = tmp_path / "joint.json"
+        assert main(["sample", "--labels", labels, "--dims", dims,
+                     "-o", str(joint)]) == 0
+        capsys.readouterr()
+        assert main(["select", "--joint", str(joint)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTreeCommand:
     def test_joint_input(self, tmp_path, capsys):
@@ -223,6 +269,72 @@ class TestTreeCommand:
         path = tmp_path / "joint.json"
         write_density(path, joint)
         assert main(["tree", "--joint", str(path)]) == 1
+
+
+def _valid_tree_description(tmp_path) -> dict:
+    state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=108)
+    refs = {}
+    for pair in [("A", "B"), ("B", "C")]:
+        p = tmp_path / f"{''.join(pair)}.json"
+        write_density(p, state.marginal(pair))
+        refs[",".join(pair)] = str(p)
+    return {"labels": ["A", "B", "C"], "dims": [2, 2, 2],
+            "edges": [["A", "B"], ["B", "C"]], "marginals": refs}
+
+
+class TestTreeFileValidation:
+    """Malformed tree descriptions exit 2 with one error line."""
+
+    @pytest.fixture(autouse=True)
+    def no_descriptor_opens(self, monkeypatch):
+        # an integer marginal reference would be opened as a file
+        # descriptor (0 reads stdin); no open may see one
+        real_open = open
+
+        def guarded_open(file, *args, **kwargs):
+            assert not isinstance(file, int), f"opened file descriptor {file}"
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", guarded_open)
+
+    def run(self, tmp_path, capsys, data) -> int:
+        desc = tmp_path / "tree.json"
+        desc.write_text(json.dumps(data))
+        code = main(["tree", "--tree-file", str(desc)])
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        return code
+
+    def test_valid_description_accepted(self, tmp_path, capsys):
+        desc = tmp_path / "tree.json"
+        desc.write_text(json.dumps(_valid_tree_description(tmp_path)))
+        assert main(["tree", "--tree-file", str(desc)]) == 0
+
+    def test_top_level_not_object(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, 5) == 2
+
+    def test_marginals_list(self, tmp_path, capsys):
+        data = _valid_tree_description(tmp_path)
+        data["marginals"] = list(data["marginals"].values())
+        assert self.run(tmp_path, capsys, data) == 2
+
+    def test_labels_not_a_list(self, tmp_path, capsys):
+        data = _valid_tree_description(tmp_path)
+        data["labels"] = 5
+        assert self.run(tmp_path, capsys, data) == 2
+
+    @pytest.mark.parametrize("edges", [5, [["A", "B"], 7], [["A", "B", "C"]]])
+    def test_bad_edges(self, tmp_path, capsys, edges):
+        data = _valid_tree_description(tmp_path)
+        data["edges"] = edges
+        assert self.run(tmp_path, capsys, data) == 2
+
+    @pytest.mark.parametrize("ref", [0, 1, None, ["AB.json"]])
+    def test_marginal_ref_not_a_string(self, tmp_path, capsys, ref):
+        data = _valid_tree_description(tmp_path)
+        data["marginals"]["A,B"] = ref
+        assert self.run(tmp_path, capsys, data) == 2
 
 
 class TestDiagram:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmctree import SubsystemLayout, embed, partial_trace
-from qmctree.layout import LayoutError
+from qmctree.layout import LayoutError, union_find
 
 
 L_ABC = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
@@ -35,6 +35,18 @@ class TestLayout:
     def test_dimension_cap(self):
         with pytest.raises(LayoutError):
             SubsystemLayout(tuple("ABCDEFGHIJKLM"), (2,) * 13)  # 8192 > 4096
+
+
+class TestUnionFind:
+    def test_union_reports_cycles(self):
+        union = union_find("ABCD")
+        assert union("A", "B") and union("C", "D") and union("B", "C")
+        assert not union("A", "D")
+        assert not union("B", "B")
+
+    def test_unknown_label(self):
+        with pytest.raises(KeyError):
+            union_find("AB")("A", "Z")
 
 
 class TestPartialTrace:

@@ -43,6 +43,12 @@ class TestDensityOperator:
         with pytest.raises(StateError):
             DensityOperator(L2, np.diag([0.6, 0.6]))
 
+    def test_rejects_nan_entry(self):
+        # a NaN fails every tolerance comparison, so it must not pass as
+        # "within tolerance"
+        with pytest.raises(StateError):
+            DensityOperator(L2, np.diag([np.nan, 1.0]))
+
     def test_marginal_of_product(self, rng):
         a = sample_density(L2, seed=rng)
         b = sample_density(SubsystemLayout(("B",), (2,)), seed=rng)
