@@ -32,6 +32,8 @@ def _load_object(path) -> dict:
             data = json.load(fh)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path}: invalid JSON at line {err.lineno}") from err
+    except RecursionError as err:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from err
     except OSError as err:
         raise FileFormatError(f"{path}: {err}") from err
     _require(isinstance(data, dict), f"{path}: top level must be an object")
@@ -42,8 +44,13 @@ def _layout_from_dict(data: dict, *fields) -> SubsystemLayout:
     """The layout of a file object that must also hold ``fields``."""
     for key in ("labels", "dims", *fields):
         _require(key in data, f"missing field {key!r}")
+    labels = data["labels"]
+    _require(
+        isinstance(labels, list) and all(isinstance(l, str) for l in labels),
+        "labels must be a list of strings",
+    )
     try:
-        return SubsystemLayout(tuple(data["labels"]), tuple(data["dims"]))
+        return SubsystemLayout(tuple(labels), tuple(data["dims"]))
     except (TypeError, ValueError) as err:
         raise FileFormatError(f"bad layout: {err}") from err
 

@@ -73,7 +73,13 @@ def matrix_function(op: np.ndarray, f: str, z: complex | None = None) -> np.ndar
     ``power`` needs the exponent ``z`` and, like ``inv_sqrt`` and ``log``,
     acts as zero on the kernel.  Natural logarithm convention.
     """
-    eig = hermitian_eig(op)
+    return spectral_function(hermitian_eig(op), f, z)
+
+
+def spectral_function(
+    eig: HermitianEig, f: str, z: complex | None = None
+) -> np.ndarray:
+    """``matrix_function`` of the matrix whose decomposition is ``eig``."""
     w, v = eig.eigenvalues, eig.eigenvectors
     if f in _PSD_FUNCTIONS and np.min(w) < -EIG_NEGATIVITY_TOL:
         raise MatrixError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import SubsystemLayout, embed
-from .linalg import MatrixError, is_hermitian, matrix_function, trace_distance
+from .linalg import MatrixError, is_hermitian, spectral_function, trace_distance
 from .recovery import compose_layouts
 from .states import DensityOperator, MarginalSet, maximally_mixed
 
@@ -301,7 +301,7 @@ def bayesian_update(
         raise MaxEntError("prior must be full rank for the log to be defined")
     if prior.layout.labels != constraints.layout.labels:
         raise MaxEntError("prior layout does not match the constraints")
-    base = matrix_function(prior.matrix, "log")
+    base = spectral_function(prior.eig, "log")
     return minimize_dual(base, constraints, config).state
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, embed
-from .linalg import frobenius, matrix_function, support_cutoff
+from .layout import LayoutError, SubsystemLayout, apply_local, embed
+from .linalg import HermitianEig, frobenius, spectral_function, support_cutoff
 from .states import (
     DensityOperator,
     conditional_mutual_information,
@@ -22,6 +22,9 @@ DEFAULT_EPS_NORMALITY = 1e-8
 # how far an estimator's marginals may stray from the marginals it was
 # built from before an entropy bookkeeping report refuses it
 ESTIMATOR_MARGINAL_TOL = 1e-6
+# selection scores and tree weights (nats) closer than this count as
+# equal, so the documented tie order, not rounding, decides between them
+TIE_TOL = 1e-10
 
 
 class RecoveryError(ValueError):
@@ -87,25 +90,28 @@ def petz_recover(
                 f"marginals disagree on {b}: trace distance {residual:.3e} "
                 f"> {eps_m:.1e}"
             )
-    rho_b = rho_bc.marginal(b)
     z = (1 + 1j * t) / 2
-    bc_l = embed(matrix_function(rho_bc.matrix, "power", z), rho_bc.layout, layout)
-    bc_r = embed(
-        matrix_function(rho_bc.matrix, "power", z.conjugate()), rho_bc.layout, layout
-    )
-    b_l = embed(matrix_function(rho_b.matrix, "power", -z), rho_b.layout, layout)
-    b_r = embed(
-        matrix_function(rho_b.matrix, "power", -z.conjugate()), rho_b.layout, layout
-    )
+    # X = rho_BC^z rho_B^-z acts on BC only; the output is X rho_AB X^dagger,
+    # formed as X (X rho_AB)^dagger and hermitized
+    x = _bc_factor(rho_bc, rho_bc.marginal(b), z)
     ab = embed(rho_ab.matrix, rho_ab.layout, layout)
-    m = bc_l @ b_l @ ab @ b_r @ bc_r
+    xab = apply_local(x, rho_bc.layout, layout, ab)
+    m = apply_local(x, rho_bc.layout, layout, xab.conj().T)
     m = (m + m.conj().T) / 2
     # clip tiny negative eigenvalues left by floating-point cancellation
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.conj().T
-    tr = float(np.trace(m).real)
-    return RecoveryResult(DensityOperator(layout, m / tr), tr)
+    tr = float(np.sum(w))
+    state = DensityOperator._from_eig(layout, HermitianEig(w / tr, v))
+    return RecoveryResult(state, tr)
+
+
+def _bc_factor(rho_bc: DensityOperator, rho_b: DensityOperator, z) -> np.ndarray:
+    """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``."""
+    b_pow = embed(
+        spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout
+    )
+    return spectral_function(rho_bc.eig, "power", z) @ b_pow
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,14 @@ def check_qmc_compatibility(
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     marg_res = overlap_distance(rho_ab, rho_bc, b)
     rho_b = rho_bc.marginal(b)
-
-    w_b = rho_b.eigenvalues()
-    rank_deficient = bool(np.min(w_b) <= support_cutoff(w_b)) or not (
-        rho_ab.is_full_rank() and rho_bc.is_full_rank()
+    rank_deficient = not (
+        rho_b.is_full_rank() and rho_ab.is_full_rank() and rho_bc.is_full_rank()
     )
 
-    bc_half = embed(matrix_function(rho_bc.matrix, "sqrt"), rho_bc.layout, layout)
-    b_inv = embed(matrix_function(rho_b.matrix, "inv_sqrt"), rho_b.layout, layout)
-    ab_half = embed(matrix_function(rho_ab.matrix, "sqrt"), rho_ab.layout, layout)
-    theta = bc_half @ b_inv @ ab_half
+    # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
+    ab_half = embed(spectral_function(rho_ab.eig, "sqrt"), rho_ab.layout, layout)
+    y = _bc_factor(rho_bc, rho_b, 0.5)
+    theta = apply_local(y, rho_bc.layout, layout, ab_half)
     scale = max(frobenius(theta) ** 2, support_cutoff(np.array([1.0])))
     comm = theta @ theta.conj().T - theta.conj().T @ theta
     norm_res = frobenius(comm) / scale
@@ -153,6 +157,13 @@ def check_qmc_compatibility(
 
 # ---------------------------------------------------------------------------
 # best two out of three
+
+def best_in_tie_order(order, score):
+    """The first item of ``order`` whose score is within TIE_TOL of the
+    largest score."""
+    top = max(score(item) for item in order)
+    return next(item for item in order if score(item) >= top - TIE_TOL)
+
 
 def chains_in_tie_order(labels: tuple[str, str, str]):
     """The three middle-vertex chains, in the fixed tie-break order
@@ -185,7 +196,7 @@ def best_pair_min_entropy(
     """Select the chain whose estimator has minimum von Neumann entropy.
 
     ``estimators`` maps chains (X, Y, Z) to their joint estimators; ties
-    are broken by the fixed chain order.
+    within TIE_TOL are broken by the fixed chain order.
     """
     if not estimators:
         raise RecoveryError("no estimators supplied")
@@ -194,7 +205,7 @@ def best_pair_min_entropy(
     if not order:
         raise RecoveryError("estimators do not match any tripartite chain")
     scores = {c: von_neumann_entropy(estimators[c]) for c in order}
-    best = min(order, key=lambda c: (scores[c], order.index(c)))
+    best = best_in_tie_order(order, lambda c: -scores[c])
     return PairSelection(chain_discarded(best), best, scores, estimators[best])
 
 
@@ -243,7 +254,7 @@ def best_pair_mutual_info(
     }
     order = chains_in_tie_order(labels)
     scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
-    best = min(order, key=lambda c: (-scores[c], order.index(c)))
+    best = best_in_tie_order(order, scores.__getitem__)
     p1, p2 = chain_pairs(best)
     estimator = petz_recover(marginals[p1], marginals[p2], eps_m=eps_m).state
     return PairSelection(chain_discarded(best), best, scores, estimator)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .layout import LayoutError, SubsystemLayout, partial_trace, union_find
 from .linalg import (
+    HermitianEig,
     frobenius,
     hermitian_eig,
     is_hermitian,
@@ -27,42 +29,76 @@ class StateError(ValueError):
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout."""
+    """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
+
+    The spectrum computed for validation is kept (read-only) and serves
+    every eigenvalue query; ``eig`` decomposes the matrix at most once.
+    """
 
     layout: SubsystemLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        self._validate(np.asarray(self.matrix, dtype=complex))
+
+    @classmethod
+    def _from_eig(cls, layout: SubsystemLayout, eig: HermitianEig) -> "DensityOperator":
+        """The state with decomposition ``eig``, checked as ``__init__``
+        checks a matrix but on the known spectrum instead of a new one."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        state._validate(eig.reconstruct(), eig.eigenvalues)
+        _freeze(eig.eigenvectors)
+        object.__setattr__(state, "eig", eig)  # fills the cached property
+        return state
+
+    def _validate(self, m: np.ndarray, w: np.ndarray | None = None):
         if m.shape != (self.layout.dim, self.layout.dim):
             raise StateError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
         if not is_hermitian(m):
             raise StateError("matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if w is None:
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if np.min(w) < -1e-10:
             raise StateError(f"negative eigenvalue {np.min(w):.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace is {tr}, expected 1")
-        m.setflags(write=False)
+        _freeze(m, w)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", w)
+
+    @cached_property
+    def eig(self) -> HermitianEig:
+        """Eigendecomposition of the matrix, computed on first use."""
+        eig = hermitian_eig(self.matrix)
+        _freeze(eig.eigenvalues, eig.eigenvectors)
+        return eig
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.layout.labels
 
     def marginal(self, keep) -> "DensityOperator":
+        if set(keep) == set(self.labels):
+            return self
         reduced = partial_trace(self.matrix, self.layout, keep)
         return DensityOperator(self.layout.restrict(keep), reduced)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues (read-only)."""
+        return self._spectrum
 
     def is_full_rank(self) -> bool:
-        w = self.eigenvalues()
+        w = self._spectrum
         return bool(np.min(w) > support_cutoff(w))
+
+
+def _freeze(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def pairwise_marginals(rho: DensityOperator) -> dict:
@@ -136,23 +172,23 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """S(rho||sigma) in nats; +inf when supp(rho) is not inside supp(sigma)."""
+    """S(rho||sigma) in nats; +inf when supp(rho) is not inside supp(sigma).
+
+    Only sigma is decomposed: Tr rho log sigma = sum_j log q_j <v_j|rho|v_j>
+    over sigma's support, and the leakage Tr(rho Pi_ker(sigma)) decides
+    the infinite case.
+    """
     if rho.layout.labels != sigma.layout.labels or rho.layout.dims != sigma.layout.dims:
         raise LayoutError("relative entropy requires matching layouts")
-    pe = hermitian_eig(rho.matrix)
-    qe = hermitian_eig(sigma.matrix)
-    p, u = pe.eigenvalues, pe.eigenvectors
-    q, v = qe.eigenvalues, qe.eigenvectors
-    p_sup = p > support_cutoff(p)
+    p = rho.eigenvalues()
+    q, v = sigma.eig.eigenvalues, sigma.eig.eigenvectors
+    weights = np.sum(v.conj() * (rho.matrix @ v), axis=0).real  # <v_j|rho|v_j>
     q_ker = q <= support_cutoff(q)
-    overlap = np.abs(u.conj().T @ v) ** 2
-    leakage = float(p[p_sup] @ overlap[np.ix_(p_sup, q_ker)].sum(axis=1)) \
-        if np.any(q_ker) else 0.0
-    if leakage > 1e-10:
+    if float(np.sum(weights[q_ker])) > 1e-10:
         return math.inf
-    term_p = float(np.sum(p[p_sup] * np.log(p[p_sup])))
-    q_sup = ~q_ker
-    term_q = float(p[p_sup] @ overlap[np.ix_(p_sup, q_sup)] @ np.log(q[q_sup]))
+    p = p[p > support_cutoff(p)]
+    term_p = float(np.sum(p * np.log(p)))
+    term_q = float(weights[~q_ker] @ np.log(q[~q_ker]))
     return term_p - term_q
 
 

@@ -11,6 +11,7 @@ from .recovery import (
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
     ESTIMATOR_MARGINAL_TOL,
+    best_in_tie_order,
     check_qmc_compatibility,
     petz_recover,
 )
@@ -153,16 +154,22 @@ class WeightedEdgeList:
 def chow_liu_tree(weights: WeightedEdgeList) -> tuple:
     """Maximum-weight spanning tree by greedy descending-weight insertion.
 
-    Edges are sorted by descending weight with lexicographic tie-breaking
-    and added whenever they do not close a cycle.
+    Edges are taken by descending weight, those within TIE_TOL of the
+    heaviest remaining edge counting as equal and the lexicographically
+    smallest going first; each is added when it does not close a cycle.
     """
     if len(weights.labels) < 2:
         raise TreeError("need at least two vertices")
-    order = sorted(
-        zip(weights.pairs, weights.weights), key=lambda pw: (-pw[1], pw[0])
-    )
+    weight = weights.as_dict()
+    remaining = sorted(weights.pairs)
     union = union_find(weights.labels)
-    return tuple(sorted(pair for pair, _ in order if union(*pair)))
+    edges = []
+    while remaining:
+        pair = best_in_tie_order(remaining, weight.__getitem__)
+        remaining.remove(pair)
+        if union(*pair):
+            edges.append(pair)
+    return tuple(sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -200,9 +207,10 @@ def tree_recover(
                 report=report,
             )
         target = tree.layout.restrict(set(state.labels) | {leaf})
+        # a strict run got here only if the report's overlap residual is
+        # within eps_m, which is the whole of petz_recover's overlap check
         state = petz_recover(
-            state, edge_marg, eps_m=eps_m, target=target,
-            check_overlap=strict,
+            state, edge_marg, eps_m=eps_m, target=target, check_overlap=False,
         ).state
     return TreeRecoveryResult(state, tuple(reports), rank_deficient)
 

@@ -405,3 +405,27 @@ class TestSample:
             "sample", "--kind", "qmc", "--blocks", "oops",
             "-o", str(tmp_path / "x.json"),
         ]) == 2
+
+
+class TestMalformedOperatorFiles:
+    """Operator files that parse as JSON but not as operators exit 2."""
+
+    def run(self, capsys, argv) -> int:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        return code
+
+    def test_non_string_labels(self, tmp_path, capsys):
+        path = tmp_path / "joint.json"
+        write_density(path, sample_density(SubsystemLayout(("A", "B"), (2, 2)), seed=3))
+        data = json.loads(path.read_text())
+        data["labels"] = [1, 2]
+        path.write_text(json.dumps(data))
+        assert self.run(capsys, ["tree", "--joint", str(path)]) == 2
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert self.run(capsys, ["check", str(path), str(path)]) == 2

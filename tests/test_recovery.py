@@ -26,7 +26,9 @@ from qmctree import (
 from qmctree.linalg import frobenius
 from qmctree.recovery import (
     IncompatiblePairsError,
+    TIE_TOL,
     RecoveryError,
+    best_in_tie_order,
     chains_in_tie_order,
     chain_pairs,
 )
@@ -300,3 +302,38 @@ class TestRelativeEntropyGap:
         other = sample_density(L3Q, seed=2)
         with pytest.raises(RecoveryError):
             relative_entropy_gap(truth, other, ("A", "B", "C"))
+
+
+def product_state(labels, seed) -> DensityOperator:
+    """Product of random single-qubit states: every mutual information is
+    zero up to rounding."""
+    rng = np.random.default_rng(seed)
+    m = np.ones((1, 1), dtype=complex)
+    for l in labels:
+        m = np.kron(m, sample_density(SubsystemLayout((l,), (2,)), seed=rng).matrix)
+    return DensityOperator(SubsystemLayout(tuple(labels), (2,) * len(labels)), m)
+
+
+class TestTieTolerance:
+    """Scores within TIE_TOL are ties, settled by the documented order."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_product_state_mutual_info_first_chain(self, seed):
+        selection = best_pair_mutual_info(product_state("ABC", seed))
+        assert selection.chain == ("A", "B", "C")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_product_state_min_entropy_first_chain(self, seed):
+        joint = product_state("ABC", seed)
+        marginals = {p: joint.marginal(p) for p in [("A", "B"), ("B", "C"), ("A", "C")]}
+        estimators = {}
+        for chain in chains_in_tie_order(("A", "B", "C")):
+            p1, p2 = chain_pairs(chain)
+            estimators[chain] = petz_recover(marginals[p1], marginals[p2]).state
+        assert best_pair_min_entropy(marginals, estimators).chain == ("A", "B", "C")
+
+    def test_gap_above_tolerance_decides(self):
+        order = ["x", "y", "z"]
+        scores = {"x": 1.0, "y": 1.0 + 0.5 * TIE_TOL, "z": 1.0 + 3 * TIE_TOL}
+        assert best_in_tie_order(order[:2], scores.__getitem__) == "x"
+        assert best_in_tie_order(order, scores.__getitem__) == "z"

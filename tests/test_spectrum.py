@@ -1,0 +1,265 @@
+"""One spectral decomposition per density operator, and the local
+application of B (x) C factors that Petz recovery and the compatibility
+test build on.
+
+Eigendecompositions are counted by wrapping ``numpy.linalg.eigh`` and
+``eigvalsh``, so the counts do not depend on the machine.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qmctree import (
+    DensityOperator,
+    QmcSpec,
+    SubsystemLayout,
+    check_qmc_compatibility,
+    learn_tree,
+    petz_recover,
+    relative_entropy,
+    sample_density,
+    sample_markov_path,
+    sample_qmc,
+)
+from qmctree.layout import apply_local, embed
+from qmctree.linalg import hermitian_eig, matrix_function, support_cutoff
+from qmctree.recovery import compose_layouts
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Matrices passed to numpy's Hermitian eigensolvers, in call order."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, **kwargs):
+            seen.append(np.array(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return seen
+
+
+def two_eigh_relative_entropy(rho, sigma):
+    """S(rho||sigma) from the eigendecompositions of both operators."""
+    pe, qe = hermitian_eig(rho.matrix), hermitian_eig(sigma.matrix)
+    p, u = pe.eigenvalues, pe.eigenvectors
+    q, v = qe.eigenvalues, qe.eigenvectors
+    p_sup = p > support_cutoff(p)
+    q_ker = q <= support_cutoff(q)
+    overlap = np.abs(u.conj().T @ v) ** 2
+    leakage = float(p[p_sup] @ overlap[np.ix_(p_sup, q_ker)].sum(axis=1)) \
+        if np.any(q_ker) else 0.0
+    if leakage > 1e-10:
+        return math.inf
+    term_p = float(np.sum(p[p_sup] * np.log(p[p_sup])))
+    q_sup = ~q_ker
+    term_q = float(p[p_sup] @ overlap[np.ix_(p_sup, q_sup)] @ np.log(q[q_sup]))
+    return term_p - term_q
+
+
+def dense_petz(rho_ab, rho_bc, t, layout):
+    """X rho_AB X^dagger with every factor embedded at full dimension."""
+    _, b, _, _ = compose_layouts(rho_ab, rho_bc)
+    rho_b = rho_bc.marginal(b)
+    z = (1 + 1j * t) / 2
+    x = embed(matrix_function(rho_bc.matrix, "power", z), rho_bc.layout, layout) \
+        @ embed(matrix_function(rho_b.matrix, "power", -z), rho_b.layout, layout)
+    m = x @ embed(rho_ab.matrix, rho_ab.layout, layout) @ x.conj().T
+    return m / np.trace(m).real
+
+
+@st.composite
+def layouts(draw, max_factors=4):
+    """Up to four labeled factors of dimension 1 to 3, in a random order."""
+    n = draw(st.integers(2, max_factors))
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    labels = draw(st.permutations("ABCD"[:n]))
+    return SubsystemLayout(tuple(labels), tuple(dims))
+
+
+@st.composite
+def local_cases(draw):
+    """(target, sub, seed): ``sub`` is any nonempty subset of the target's
+    factors, in any order."""
+    target = draw(layouts())
+    k = draw(st.integers(1, target.n))
+    picked = tuple(draw(st.permutations(target.labels))[:k])
+    sub = SubsystemLayout(picked, tuple(target.dim_of(l) for l in picked))
+    return target, sub, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def petz_cases(draw):
+    """(dims, groups, joint order, target order, t, seed) over three or
+    four labels; ``groups`` puts each label on the A side (0), in the
+    shared B (1) or on the C side (2), each group nonempty."""
+    n = draw(st.integers(3, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    groups = tuple(draw(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        .filter(lambda g: set(g) == {0, 1, 2})
+    ))
+    joint_order = tuple(draw(st.permutations("ABCD"[:n])))
+    target_order = tuple(draw(st.permutations("ABCD"[:n])))
+    t = draw(st.sampled_from([0.0, 0.7]))
+    return dims, groups, joint_order, target_order, t, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSpectrumKept:
+    def test_learn_tree_decomposes_full_dimension_once(self, eig_calls):
+        labels = tuple("ABCDEF")
+        joint = sample_markov_path(labels, (2,) * 6, seed=3)
+        eig_calls.clear()
+        learn_tree(joint)
+        full = [a for a in eig_calls if a.shape[-1] == joint.layout.dim]
+        assert len(full) == 1
+
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_check_and_petz_decompose_bc_once(self, eig_calls, t):
+        state = sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=11)
+        rho_ab, rho_bc = state.marginal(("A", "B")), state.marginal(("B", "C"))
+        eig_calls.clear()
+        assert check_qmc_compatibility(rho_ab, rho_bc).verdict
+        petz_recover(rho_ab, rho_bc, t=t)
+        bc = [a for a in eig_calls
+              if a.shape == rho_bc.matrix.shape and np.allclose(a, rho_bc.matrix)]
+        assert len(bc) == 1
+
+    def test_eigenvalues_match_eigvalsh(self, rng):
+        layout = SubsystemLayout(("A", "B", "C"), (2, 3, 2))
+        rho = sample_density(layout, seed=rng)
+        np.testing.assert_allclose(
+            rho.eigenvalues(), np.linalg.eigvalsh(rho.matrix), atol=1e-12
+        )
+        state = sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=12)
+        out = petz_recover(state.marginal(("A", "B")), state.marginal(("B", "C"))).state
+        np.testing.assert_allclose(
+            out.eigenvalues(), np.linalg.eigvalsh(out.matrix), atol=1e-12
+        )
+        np.testing.assert_allclose(out.eig.reconstruct(), out.matrix, atol=1e-12)
+
+    def test_spectrum_is_read_only(self, rng):
+        rho = sample_density(SubsystemLayout(("A",), (3,)), seed=rng)
+        with pytest.raises(ValueError):
+            rho.eigenvalues()[0] = 1.0
+        with pytest.raises(ValueError):
+            rho.eig.eigenvectors[0, 0] = 1.0
+
+    def test_eig_computed_once(self, eig_calls, rng):
+        rho = sample_density(SubsystemLayout(("A", "B"), (2, 2)), seed=rng)
+        eig_calls.clear()
+        assert rho.eig is rho.eig
+        assert len(eig_calls) == 1
+
+    def test_full_marginal_is_self(self, rng):
+        rho = sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=rng)
+        assert rho.marginal(("B", "A")) is rho
+
+    def test_petz_output_checked_like_a_matrix(self):
+        layout = SubsystemLayout(("A",), (2,))
+        eig = hermitian_eig(np.diag([0.7, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator._from_eig(layout, eig)
+
+
+class TestRelativeEntropyOracle:
+    def test_full_rank(self, rng):
+        layout = SubsystemLayout(("A", "B"), (2, 3))
+        rho, sigma = sample_density(layout, seed=rng), sample_density(layout, seed=rng)
+        assert relative_entropy(rho, sigma) == pytest.approx(
+            two_eigh_relative_entropy(rho, sigma), abs=1e-10
+        )
+
+    def test_rank_deficient(self, rng):
+        layout = SubsystemLayout(("A", "B"), (2, 3))
+        sigma = sample_density(layout, rank=4, seed=rng)
+        # rho supported inside supp(sigma): a mixture of sigma's eigenvectors
+        v = sigma.eig.eigenvectors[:, sigma.eigenvalues() > 1e-12]
+        weights = rng.uniform(0.1, 1.0, 3)
+        m = (v[:, :3] * (weights / weights.sum())) @ v[:, :3].conj().T
+        rho = DensityOperator(layout, m)
+        ours = relative_entropy(rho, sigma)
+        assert math.isfinite(ours)
+        assert ours == pytest.approx(two_eigh_relative_entropy(rho, sigma), abs=1e-10)
+        low = sample_density(layout, rank=2, seed=rng)
+        full = sample_density(layout, seed=rng)
+        assert relative_entropy(low, full) == pytest.approx(
+            two_eigh_relative_entropy(low, full), abs=1e-10
+        )
+
+    def test_infinite(self, rng):
+        layout = SubsystemLayout(("A", "B"), (2, 2))
+        rho = sample_density(layout, seed=rng)
+        sigma = sample_density(layout, rank=2, seed=rng)
+        assert relative_entropy(rho, sigma) == math.inf
+        assert two_eigh_relative_entropy(rho, sigma) == math.inf
+
+    @PROPERTY
+    @given(layout=layouts(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_oracle_on_random_layouts(self, layout, seed, data):
+        rng = np.random.default_rng(seed)
+        d = layout.dim
+        sigma = sample_density(layout, rank=data.draw(st.integers(1, d)), seed=rng)
+        if data.draw(st.booleans()):
+            # rho inside supp(sigma), so the entropy is finite
+            v = sigma.eig.eigenvectors[:, sigma.eigenvalues() > 1e-12]
+            weights = rng.uniform(0.1, 1.0, v.shape[1])
+            rho = DensityOperator(layout, (v * (weights / weights.sum())) @ v.conj().T)
+        else:
+            rho = sample_density(layout, rank=data.draw(st.integers(1, d)), seed=rng)
+        ours = relative_entropy(rho, sigma)
+        oracle = two_eigh_relative_entropy(rho, sigma)
+        if math.isinf(oracle):
+            assert ours == oracle
+        else:
+            assert ours == pytest.approx(oracle, abs=1e-10)
+
+
+class TestLocalApplication:
+    @PROPERTY
+    @given(case=local_cases())
+    @example(case=(  # non-contiguous factors, named out of target order
+        SubsystemLayout(("A", "B", "C", "D"), (2, 2, 3, 2)),
+        SubsystemLayout(("D", "B"), (2, 2)), 0,
+    ))
+    def test_apply_local_equals_embed_matmul(self, case):
+        target, sub, seed = case
+        rng = np.random.default_rng(seed)
+        op, m = (
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for d in (sub.dim, target.dim)
+        )
+        np.testing.assert_allclose(
+            apply_local(op, sub, target, m), embed(op, sub, target) @ m, atol=1e-12
+        )
+
+    @PROPERTY
+    @given(case=petz_cases())
+    @example(case=((2, 2, 2), (0, 1, 2), ("A", "B", "C"), ("B", "A", "C"), 0.0, 1))
+    @example(case=((2, 3, 2, 2), (0, 1, 0, 2), ("A", "B", "C", "D"),
+                   ("D", "C", "A", "B"), 0.7, 2))
+    def test_petz_equals_dense_formula(self, case):
+        dims, groups, joint_order, target_order, t, seed = case
+        labels = "ABCD"[:len(dims)]
+        dim_of = dict(zip(labels, dims))
+        joint = sample_density(
+            SubsystemLayout(joint_order, tuple(dim_of[l] for l in joint_order)),
+            seed=seed,
+        )
+        side = dict(zip(labels, groups))
+        rho_ab = joint.marginal([l for l in labels if side[l] < 2])
+        rho_bc = joint.marginal([l for l in labels if side[l] > 0])
+        target = SubsystemLayout(target_order, tuple(dim_of[l] for l in target_order))
+        result = petz_recover(rho_ab, rho_bc, t=t, target=target)
+        assert result.state.layout == target
+        np.testing.assert_allclose(
+            result.state.matrix, dense_petz(rho_ab, rho_bc, t, target), atol=1e-10
+        )

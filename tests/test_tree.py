@@ -29,6 +29,7 @@ from qmctree import (
 )
 from qmctree.layout import embed
 from qmctree.linalg import frobenius
+from qmctree.recovery import TIE_TOL
 from qmctree.tree import (
     TreeError,
     TreeRecoveryError,
@@ -338,3 +339,24 @@ class TestLearnTree:
         learned = learn_tree(pairwise_marginals(state), layout=state.layout)
         assert learned.gap is None
         assert trace_distance(learned.estimator.matrix, state.matrix) < 1e-7
+
+
+class TestTieTolerance:
+    """Weights within TIE_TOL are ties, settled lexicographically."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_product_state_lexicographic_tree(self, seed):
+        rng = np.random.default_rng(seed)
+        m = np.ones((1, 1), dtype=complex)
+        for l in "ABCD":
+            m = np.kron(m, sample_density(SubsystemLayout((l,), (2,)), seed=rng).matrix)
+        learned = learn_tree(DensityOperator(L4, m))
+        assert learned.tree.edges == (("A", "B"), ("A", "C"), ("A", "D"))
+
+    def test_rounding_noise_is_a_tie(self):
+        w = {("A", "B"): 0.0, ("A", "C"): 0.0, ("B", "C"): 1e-16}
+        weights = WeightedEdgeList.from_dict(("A", "B", "C"), w)
+        assert chow_liu_tree(weights) == (("A", "B"), ("A", "C"))
+        w[("B", "C")] = 10 * TIE_TOL
+        weights = WeightedEdgeList.from_dict(("A", "B", "C"), w)
+        assert chow_liu_tree(weights) == (("A", "B"), ("B", "C"))
