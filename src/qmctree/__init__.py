@@ -40,7 +40,6 @@ from .recovery import (
 from .maxent import (
     ConstraintSet,
     MaxEntSolution,
-    SolverConfig,
     bayesian_update,
     diagram_commutes,
     gell_mann_basis,
@@ -67,9 +66,9 @@ __all__ = [
     "CompatReport", "PairSelection", "best_pair_min_entropy",
     "best_pair_mutual_info", "check_qmc_compatibility", "petz_recover",
     "relative_entropy_gap",
-    "ConstraintSet", "MaxEntSolution", "SolverConfig",
-    "bayesian_update", "diagram_commutes", "gell_mann_basis",
-    "marginal_constraints", "solve_maxent",
+    "ConstraintSet", "MaxEntSolution", "bayesian_update",
+    "diagram_commutes", "gell_mann_basis", "marginal_constraints",
+    "solve_maxent",
     "QuantumTree", "WeightedEdgeList", "chow_liu_tree", "delta_s",
     "learn_tree", "tree_recover",
 ]

@@ -22,6 +22,8 @@ from .maxent import (
     solve_maxent,
 )
 from .recovery import (
+    DEFAULT_EPS_MARGINAL,
+    DEFAULT_EPS_NORMALITY,
     IncompatiblePairsError,
     RecoveryError,
     best_pair_min_entropy,
@@ -264,20 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "tree-structured bipartite marginals",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-marginal", type=float, default=1e-8,
-                        help="trace-distance tolerance for overlap consistency")
-    common.add_argument("--tol-normality", type=float, default=1e-8,
-                        help="normalized Frobenius tolerance for normality")
+    # each subcommand takes only the tolerance flags it reads
+    marginal_tol = argparse.ArgumentParser(add_help=False)
+    marginal_tol.add_argument(
+        "--tol-marginal", type=float, default=DEFAULT_EPS_MARGINAL,
+        help="trace-distance tolerance for overlap consistency")
+    both_tols = argparse.ArgumentParser(add_help=False, parents=[marginal_tol])
+    both_tols.add_argument(
+        "--tol-normality", type=float, default=DEFAULT_EPS_NORMALITY,
+        help="normalized Frobenius tolerance for normality")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[both_tols],
                        help="compatibility test for two overlapping marginals")
     p.add_argument("ab")
     p.add_argument("bc")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("recover", parents=[common],
+    p = sub.add_parser("recover", parents=[marginal_tol],
                        help="recover a joint state from two marginals")
     p.add_argument("ab")
     p.add_argument("bc")
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("petz", "maxent"), default="petz")
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("select", parents=[common],
+    p = sub.add_parser("select", parents=[both_tols],
                        help="best-two-of-three marginal selection")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pairs", nargs=3, metavar="FILE")
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("tree", parents=[common],
+    p = sub.add_parser("tree", parents=[both_tols],
                        help="learn or recover a spanning-tree estimator")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--joint", metavar="FILE")
@@ -304,14 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("diagram", parents=[common],
-                       help="sequential-update commutativity test")
+    p = sub.add_parser("diagram", help="sequential-update commutativity test")
     p.add_argument("ab")
     p.add_argument("bc")
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[both_tols],
                        help="sample joints and report compatibility failures")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -320,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample structured states instead of generic ones")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="generate state fixtures")
+    p = sub.add_parser("sample", help="generate state fixtures")
     p.add_argument("--kind", choices=("random", "qmc"), default="random")
     p.add_argument("--labels", default="A,B,C")
     p.add_argument("--dims", default="2,2,2")

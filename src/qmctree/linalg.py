@@ -33,10 +33,10 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def is_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
     scale = max(frobenius(op), 1.0)
-    return frobenius(op - op.conj().T) <= tol * scale
+    return frobenius(op - op.conj().T) <= HERMITICITY_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class HermitianEig:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(op: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEig:
+def hermitian_eig(op: np.ndarray) -> HermitianEig:
     op = np.asarray(op, dtype=complex)
-    if not is_hermitian(op, tol):
+    if not is_hermitian(op):
         raise MatrixError("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh((op + op.conj().T) / 2)
     return HermitianEig(w, v)

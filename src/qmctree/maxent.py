@@ -154,15 +154,13 @@ def _dedupe(layout, observables, targets, keys):
 # ---------------------------------------------------------------------------
 # dual solver
 
-@dataclass(frozen=True)
-class SolverConfig:
-    grad_tol: float = 1e-10
-    residual_tol: float = 1e-6
-    max_iter: int = 10000
-    multiplier_cap: float = 1e3
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-14
+GRAD_TOL = 1e-10  # stop once every gradient entry is this small
+RESIDUAL_TOL = 1e-6  # largest final residual accepted as converged
+MAX_ITER = 10000
+MULTIPLIER_CAP = 1e3  # a multiplier beyond this means infeasible targets
+ARMIJO = 1e-4  # sufficient-decrease fraction of the predicted decrease
+BACKTRACK = 0.5  # step-length factor per rejected trial
+MIN_STEP = 1e-14  # the line search stalls below this step length
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ class MaxEntSolution:
 
 
 def _gibbs(base, thetas, lam):
-    h = base + sum(l * t for l, t in zip(lam, thetas)) if len(lam) else base
+    h = base + np.tensordot(lam, thetas, axes=1)
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     shift = np.max(w)
     ew = np.exp(w - shift)
@@ -189,49 +187,43 @@ def _dual_value(log_z, lam, targets):
     return log_z - float(np.dot(lam, targets))
 
 
+def _gradient(rho, thetas, targets):
+    """Tr(rho Theta_i) - <Theta_i> for the stacked observables."""
+    return np.einsum("kij,ij->k", thetas, rho.conj()).real - targets
+
+
 def _hessian(thetas_tilde, w, ew, z):
-    # divided differences of exp on the (shifted) spectrum
-    n = len(w)
-    phi = np.empty((n, n))
-    for p in range(n):
-        dw = w[p] - w
-        close = np.abs(dw) < 1e-12
-        phi[p] = np.where(close, ew[p], (ew[p] - ew) / np.where(close, 1.0, dw))
-    m = len(thetas_tilde)
-    mean = np.array([np.sum(np.diag(t).real * ew) / z for t in thetas_tilde])
-    hess = np.empty((m, m))
-    for i in range(m):
-        ti = thetas_tilde[i]
-        for j in range(i, m):
-            tj = thetas_tilde[j]
-            val = np.sum(ti.conj() * (phi * tj)).real / z
-            hess[i, j] = hess[j, i] = val - mean[i] * mean[j]
-    return hess
+    """Hessian of log Z from the observables in the eigenbasis of H.
+
+    phi holds the divided differences of exp on the spectrum w, with
+    ew = exp(w - max w); the expm1 form keeps full relative precision on
+    small gaps and cannot overflow (Higham, Functions of Matrices, ch. 10).
+    """
+    gap = np.abs(w[:, None] - w)
+    nonzero = gap > 0
+    ratio = np.where(nonzero, -np.expm1(-gap) / np.where(nonzero, gap, 1.0), 1.0)
+    phi = np.maximum(ew[:, None], ew) * ratio
+    f = thetas_tilde.reshape(len(thetas_tilde), w.size ** 2)
+    mean = np.diagonal(thetas_tilde, axis1=1, axis2=2).real @ ew / z
+    hess = (f.conj() @ (phi.ravel() * f).T).real / z - np.outer(mean, mean)
+    return (hess + hess.T) / 2
 
 
-def minimize_dual(
-    base: np.ndarray,
-    constraints: ConstraintSet,
-    config: SolverConfig | None = None,
-) -> MaxEntSolution:
+def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolution:
     """Damped-Newton minimization of the convex dual; start is lambda = 0."""
-    cfg = config or SolverConfig()
-    thetas = [np.asarray(t, dtype=complex) for t in constraints.observables]
+    d = constraints.layout.dim
+    thetas = np.asarray(constraints.observables, dtype=complex).reshape(-1, d, d)
     targets = np.asarray(constraints.targets, dtype=float)
     lam = np.zeros(len(thetas))
 
     rho, log_z, w, v, ew, z = _gibbs(base, thetas, lam)
     value = _dual_value(log_z, lam, targets)
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        grad = np.array(
-            [np.sum(rho.conj() * t).real for t in thetas]
-        ) - targets
-        residual = float(np.max(np.abs(grad))) if len(grad) else 0.0
-        if residual <= cfg.grad_tol:
+    for iterations in range(1, MAX_ITER + 1):
+        grad = _gradient(rho, thetas, targets)
+        if np.max(np.abs(grad), initial=0.0) <= GRAD_TOL:
             break
-        thetas_tilde = [v.conj().T @ t @ v for t in thetas]
-        hess = _hessian(thetas_tilde, w - np.max(w), ew, z)
+        hess = _hessian(v.conj().T @ thetas @ v, w, ew, z)
         reg = 1e-13 * max(np.trace(hess).real, 1.0)
         try:
             step = np.linalg.solve(hess + reg * np.eye(len(grad)), -grad)
@@ -241,38 +233,33 @@ def minimize_dual(
         if np.dot(step, grad) >= 0:
             step = -grad  # fall back to steepest descent
 
-        alpha = 1.0
         slope = float(np.dot(grad, step))
-        if -slope <= 1e-13 * max(1.0, abs(value)):
-            # Predicted decrease is below the float resolution of the dual
-            # value, so the Armijo test is pure rounding noise.  Take the
-            # full (damped-free) Newton step: this close to the optimum it
-            # contracts the gradient quadratically.
-            lam = lam + step
-            rho, log_z, w, v, ew, z = _gibbs(base, thetas, lam)
-            value = _dual_value(log_z, lam, targets)
-            continue
-        while alpha >= cfg.min_step:
+        # A predicted decrease below the float resolution of the dual value
+        # makes the Armijo test rounding noise: take the full Newton step
+        # untested, which this close to the optimum contracts the gradient
+        # quadratically.
+        untested = -slope <= 1e-13 * max(1.0, abs(value))
+        alpha = 1.0
+        while alpha >= MIN_STEP:
             trial = lam + alpha * step
-            rho_t, log_z_t, w_t, v_t, ew_t, z_t = _gibbs(base, thetas, trial)
-            if _dual_value(log_z_t, trial, targets) <= value + cfg.armijo * alpha * slope:
-                lam = trial
-                rho, log_z, w, v, ew, z = rho_t, log_z_t, w_t, v_t, ew_t, z_t
-                value = _dual_value(log_z, lam, targets)
+            gibbs = _gibbs(base, thetas, trial)
+            trial_value = _dual_value(gibbs[1], trial, targets)
+            if untested or trial_value <= value + ARMIJO * alpha * slope:
+                lam, value = trial, trial_value
+                rho, log_z, w, v, ew, z = gibbs
                 break
-            alpha *= cfg.backtrack
+            alpha *= BACKTRACK
         else:
             break  # line search stalled; report the honest residual
 
-        if len(lam) and float(np.max(np.abs(lam))) > cfg.multiplier_cap:
+        if not untested and np.max(np.abs(lam), initial=0.0) > MULTIPLIER_CAP:
             raise InfeasibleConstraintsError(
-                f"multiplier norm exceeded {cfg.multiplier_cap:.1e}; "
+                f"multiplier norm exceeded {MULTIPLIER_CAP:.1e}; "
                 "targets appear infeasible"
             )
 
-    grad = np.array([np.sum(rho.conj() * t).real for t in thetas]) - targets
-    residual = float(np.max(np.abs(grad))) if len(grad) else 0.0
-    if residual > cfg.residual_tol:
+    residual = float(np.max(np.abs(_gradient(rho, thetas, targets)), initial=0.0))
+    if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"dual solver stopped at residual {residual:.3e} after "
             f"{iterations} iterations",
@@ -282,19 +269,14 @@ def minimize_dual(
     return MaxEntSolution(lam, state, log_z, residual, iterations)
 
 
-def solve_maxent(
-    constraints: ConstraintSet, config: SolverConfig | None = None
-) -> MaxEntSolution:
+def solve_maxent(constraints: ConstraintSet) -> MaxEntSolution:
     """Maximum-entropy Gibbs state meeting the expectation constraints."""
     d = constraints.layout.dim
-    base = np.zeros((d, d), dtype=complex)
-    return minimize_dual(base, constraints, config)
+    return minimize_dual(np.zeros((d, d), dtype=complex), constraints)
 
 
 def bayesian_update(
-    prior: DensityOperator,
-    constraints: ConstraintSet,
-    config: SolverConfig | None = None,
+    prior: DensityOperator, constraints: ConstraintSet
 ) -> DensityOperator:
     """Minimum-relative-entropy posterior for a full-rank prior."""
     if not prior.is_full_rank():
@@ -302,7 +284,7 @@ def bayesian_update(
     if prior.layout.labels != constraints.layout.labels:
         raise MaxEntError("prior layout does not match the constraints")
     base = spectral_function(prior.eig, "log")
-    return minimize_dual(base, constraints, config).state
+    return minimize_dual(base, constraints).state
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +311,6 @@ def diagram_commutes(
     rho_ab: DensityOperator,
     rho_bc: DensityOperator,
     tol: float = 1e-5,
-    config: SolverConfig | None = None,
 ) -> DiagramReport:
     """Compare sequential updates in both orders against the joint update.
 
@@ -342,11 +323,11 @@ def diagram_commutes(
     c_bc = expectation_constraints(layout, (rho_bc,))
     uniform = maximally_mixed(layout)
 
-    sigma1 = bayesian_update(uniform, c_ab, config)
-    sigma2 = bayesian_update(sigma1, c_bc, config)
-    varrho1 = bayesian_update(uniform, c_bc, config)
-    varrho2 = bayesian_update(varrho1, c_ab, config)
-    joint = solve_maxent(c_ab.merged_with(c_bc), config).state
+    sigma1 = bayesian_update(uniform, c_ab)
+    sigma2 = bayesian_update(sigma1, c_bc)
+    varrho1 = bayesian_update(uniform, c_bc)
+    varrho2 = bayesian_update(varrho1, c_ab)
+    joint = solve_maxent(c_ab.merged_with(c_bc)).state
 
     d12 = trace_distance(sigma2.matrix, varrho2.matrix)
     d1j = trace_distance(sigma2.matrix, joint.matrix)

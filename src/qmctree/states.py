@@ -33,6 +33,9 @@ class DensityOperator:
 
     The spectrum computed for validation is kept (read-only) and serves
     every eigenvalue query; ``eig`` decomposes the matrix at most once.
+    A complex128 ``matrix`` is adopted without a copy and made read-only,
+    so pass a copy to keep your own array writable; other dtypes are
+    converted into a new array.
     """
 
     layout: SubsystemLayout
@@ -376,6 +379,8 @@ def _check_spanning_tree(labels, edges):
         raise StateError(f"{len(edges)} edges cannot span {len(labels)} vertices")
     union = union_find(labels)
     for a, b in edges:
+        if a not in labels or b not in labels:
+            raise StateError(f"edge {a}-{b} uses an unknown vertex")
         if not union(a, b):
             raise StateError(f"edge set contains a cycle through {a}-{b}")
 

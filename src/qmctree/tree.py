@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 
 from .layout import LayoutError, SubsystemLayout, union_find
-from .linalg import trace_distance
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
@@ -19,6 +18,7 @@ from .states import (
     OVERLAP_TOL,
     DensityOperator,
     mutual_information,
+    overlap_distance,
     pairwise_marginals,
     relative_entropy,
     von_neumann_entropy,
@@ -80,9 +80,9 @@ class QuantumTree:
         # shared single-vertex reductions of incident edges must agree
         for v in self.layout.labels:
             incident = [e for e in edges if v in e]
-            ref = marginals[incident[0]].marginal((v,)).matrix
+            ref = marginals[incident[0]].marginal((v,))
             for e in incident[1:]:
-                dist = trace_distance(ref, marginals[e].marginal((v,)).matrix)
+                dist = overlap_distance(ref, marginals[e], (v,))
                 if dist > OVERLAP_TOL:
                     raise TreeError(
                         f"edges {incident[0]} and {e} disagree on vertex {v!r}: "
@@ -236,9 +236,7 @@ def delta_s(
     if set(estimator.labels) != set(tree.layout.labels):
         raise LayoutError("estimator labels do not match the tree")
     for edge, marg in tree.edge_marginals.items():
-        dist = trace_distance(
-            estimator.marginal(edge).matrix, marg.matrix
-        )
+        dist = overlap_distance(estimator, marg, edge)
         if dist > ESTIMATOR_MARGINAL_TOL:
             raise TreeError(
                 f"estimator violates the {edge} marginal by {dist:.3e}"

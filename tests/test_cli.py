@@ -14,7 +14,7 @@ from qmctree import (
     sample_qmc,
     trace_distance,
 )
-from qmctree.cli import main
+from qmctree.cli import build_parser, main
 from qmctree.fileio import (
     FileFormatError,
     read_density,
@@ -22,6 +22,7 @@ from qmctree.fileio import (
     write_density,
     write_operator,
 )
+from qmctree.recovery import DEFAULT_EPS_MARGINAL, DEFAULT_EPS_NORMALITY
 
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 
@@ -405,6 +406,29 @@ class TestSample:
             "sample", "--kind", "qmc", "--blocks", "oops",
             "-o", str(tmp_path / "x.json"),
         ]) == 2
+
+
+class TestToleranceFlags:
+    """Each subcommand accepts only the tolerance flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "-o", "x.json", "--tol-normality", "1e-3"],
+        ["sample", "-o", "x.json", "--tol-marginal", "1e-3"],
+        ["diagram", "ab.json", "bc.json", "--tol-normality", "1e-3"],
+        ["diagram", "ab.json", "bc.json", "--tol-marginal", "1e-3"],
+        ["recover", "ab.json", "bc.json", "-o", "x.json", "--tol-normality", "1e-3"],
+    ])
+    def test_unread_flag_exits_two(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["check", "ab.json", "bc.json"])
+        assert args.tol_marginal == DEFAULT_EPS_MARGINAL
+        assert args.tol_normality == DEFAULT_EPS_NORMALITY
 
 
 class TestMalformedOperatorFiles:

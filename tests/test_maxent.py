@@ -1,6 +1,7 @@
 """Operator bases, constraint assembly, the dual solver, and updating."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qmctree import (
     DensityOperator,
     MarginalSet,
     QmcSpec,
-    SolverConfig,
     SubsystemLayout,
     bayesian_update,
     diagram_commutes,
@@ -28,6 +28,8 @@ from qmctree.maxent import (
     ConstraintSet,
     _dual_value,
     _gibbs,
+    _gradient,
+    _hessian,
     expectation_constraints,
 )
 
@@ -183,6 +185,60 @@ class TestSolver:
             y = rng.uniform(-1, 1, len(thetas))
             mid = value((x + y) / 2)
             assert mid <= (value(x) + value(y)) / 2 + 1e-9
+
+    def test_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(80)
+        cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
+        thetas = np.array(cs.observables)
+        targets = np.asarray(cs.targets)
+        base = np.zeros((4, 4), dtype=complex)
+        lam = rng.uniform(-0.5, 0.5, len(thetas))
+        _, _, w, v, ew, z = _gibbs(base, thetas, lam)
+        hess = _hessian(v.conj().T @ thetas @ v, w, ew, z)
+        eps = 1e-5
+        for j in rng.choice(len(lam), size=4, replace=False):
+            up, dn = lam.copy(), lam.copy()
+            up[j] += eps
+            dn[j] -= eps
+            fd = (
+                _gradient(_gibbs(base, thetas, up)[0], thetas, targets)
+                - _gradient(_gibbs(base, thetas, dn)[0], thetas, targets)
+            ) / (2 * eps)
+            np.testing.assert_allclose(hess[:, j], fd, rtol=0, atol=1e-8)
+
+    def test_hessian_matches_pair_loop(self):
+        # reference: the loop over constraint pairs that the stacked
+        # product replaced, on a spectrum without near-degeneracies
+        rng = np.random.default_rng(79)
+        cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
+        thetas = np.array(cs.observables)
+        lam = rng.uniform(-0.5, 0.5, len(thetas))
+        _, _, w, v, ew, z = _gibbs(np.zeros((4, 4), dtype=complex), thetas, lam)
+        assert np.min(np.diff(w)) > 1e-3
+        tilde = v.conj().T @ thetas @ v
+        dw = w[:, None] - w
+        phi = np.where(dw == 0, ew[:, None], (ew[:, None] - ew) / np.where(dw == 0, 1, dw))
+        mean = [np.sum(np.diag(t).real * ew) / z for t in tilde]
+        ref = np.empty((len(tilde), len(tilde)))
+        for i, ti in enumerate(tilde):
+            for j, tj in enumerate(tilde):
+                ref[i, j] = np.sum(ti.conj() * phi * tj).real / z - mean[i] * mean[j]
+        np.testing.assert_allclose(_hessian(tilde, w, ew, z), ref, rtol=0, atol=1e-12)
+
+    def test_hessian_near_degenerate_spectrum(self):
+        # gap 1e-9: (e^a - e^b) / (a - b) keeps only about seven digits
+        w = np.array([0.3, 0.3 + 1e-9])
+        ew = np.exp(w - w.max())
+        sigma_x = np.array([[[0, 1], [1, 0]]], dtype=complex)
+        hess = _hessian(sigma_x, w, ew, float(ew.sum()))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            gap = Decimal(w[0]) - Decimal(w[1])
+            e0, e1 = gap.exp(), Decimal(1)
+            # sigma_x has a zero diagonal, so the mean term vanishes
+            exact = 2 * (e0 - e1) / gap / (e0 + e1)
+        assert hess.shape == (1, 1)
+        assert abs(hess[0, 0] / float(exact) - 1) < 1e-12
 
 
 class TestBayesianUpdate:

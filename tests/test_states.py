@@ -62,6 +62,18 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 9.0
 
+    def test_complex_matrix_adopted_without_copy(self):
+        # a complex128 matrix becomes the state's own, read-only, array
+        m = np.eye(2, dtype=complex) / 2
+        state = DensityOperator(L2, m)
+        assert state.matrix is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.7
+        # any other dtype is converted, so the caller's array stays writable
+        real = np.eye(2) / 2
+        DensityOperator(L2, real)
+        real[0, 0] = 0.7
+
 
 class TestMarginalSet:
     def test_cover_required(self):
@@ -293,6 +305,10 @@ class TestMarkovSamplers:
         assert abs(conditional_mutual_information(
             state, ("D",), ("B",), ("A", "C")
         )) <= 1e-8
+
+    def test_tree_sampler_rejects_unknown_label(self):
+        with pytest.raises(StateError, match="unknown vertex"):
+            sample_markov_tree(L3Q, [("A", "Z"), ("A", "B")])
 
     def test_tree_sampler_respects_layout_order(self):
         layout = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
