@@ -9,7 +9,6 @@ from .layout import SubsystemLayout, partial_trace, embed
 from .linalg import (
     HermitianEig,
     hermitian_eig,
-    hs_inner,
     matrix_function,
     trace_distance,
 )
@@ -57,8 +56,7 @@ from .tree import (
 
 __all__ = [
     "SubsystemLayout", "partial_trace", "embed",
-    "HermitianEig", "hermitian_eig", "hs_inner", "matrix_function",
-    "trace_distance",
+    "HermitianEig", "hermitian_eig", "matrix_function", "trace_distance",
     "DensityOperator", "MarginalSet", "QmcSpec", "classical_state",
     "conditional_mutual_information", "maximally_mixed", "mutual_information",
     "relative_entropy", "sample_density", "sample_markov_path",

@@ -197,3 +197,17 @@ def union_find(labels):
         return ra != rb
 
     return union
+
+
+def spanning_tree_problem(labels, edges) -> str | None:
+    """Why ``edges`` is not a spanning tree on ``labels``, or None if it is."""
+    labels = tuple(labels)
+    if len(edges) != len(labels) - 1:
+        return f"{len(edges)} edges cannot span {len(labels)} vertices"
+    union = union_find(labels)
+    for a, b in edges:
+        if a not in labels or b not in labels:
+            return f"edge {a}-{b} uses an unknown vertex"
+        if not union(a, b):
+            return f"edge set has a cycle through {a}-{b}"
+    return None

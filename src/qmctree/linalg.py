@@ -24,15 +24,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
-
-
 def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
     scale = max(frobenius(op), 1.0)

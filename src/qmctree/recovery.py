@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +72,20 @@ def petz_recover(
     t: float = 0.0,
     eps_m: float = DEFAULT_EPS_MARGINAL,
     target: SubsystemLayout | None = None,
-    check_overlap: bool = True,
 ) -> RecoveryResult:
     """Recover a joint state from two marginals sharing their middle factor.
 
     Applies the rotated transpose map to ``rho_ab`` (t = 0 is the plain
-    map); the output is renormalized with the raw trace recorded.
+    map); the output is renormalized with the raw trace recorded.  The
+    marginals must agree on the shared factor within ``eps_m``
+    (``math.inf`` accepts any pair), and the raw trace must be positive.
     """
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     if target is not None:
         if set(target.labels) != set(layout.labels):
             raise LayoutError("target layout labels do not match the marginals")
         layout = target
-    if check_overlap:
+    if eps_m < math.inf:  # an infinite tolerance accepts any residual
         residual = overlap_distance(rho_ab, rho_bc, b)
         if residual > eps_m:
             raise RecoveryError(
@@ -93,7 +95,7 @@ def petz_recover(
     z = (1 + 1j * t) / 2
     # X = rho_BC^z rho_B^-z acts on BC only; the output is X rho_AB X^dagger,
     # formed as X (X rho_AB)^dagger and hermitized
-    x = _bc_factor(rho_bc, rho_bc.marginal(b), z)
+    x = _bc_factor(rho_bc, b, z)
     ab = embed(rho_ab.matrix, rho_ab.layout, layout)
     xab = apply_local(x, rho_bc.layout, layout, ab)
     m = apply_local(x, rho_bc.layout, layout, xab.conj().T)
@@ -102,12 +104,19 @@ def petz_recover(
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
     tr = float(np.sum(w))
+    if not tr > 0.0:
+        raise RecoveryError(
+            f"recovered operator has pre-normalization trace {tr:.3e}: "
+            f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
+        )
     state = DensityOperator._from_eig(layout, HermitianEig(w / tr, v))
     return RecoveryResult(state, tr)
 
 
-def _bc_factor(rho_bc: DensityOperator, rho_b: DensityOperator, z) -> np.ndarray:
-    """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``."""
+def _bc_factor(rho_bc: DensityOperator, b, z) -> np.ndarray:
+    """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``, with
+    rho_B its stored marginal on the shared labels ``b``."""
+    rho_b = rho_bc.marginal(b)
     b_pow = embed(
         spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout
     )
@@ -137,14 +146,12 @@ def check_qmc_compatibility(
     conditional correlation across their shared factor."""
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     marg_res = overlap_distance(rho_ab, rho_bc, b)
-    rho_b = rho_bc.marginal(b)
-    rank_deficient = not (
-        rho_b.is_full_rank() and rho_ab.is_full_rank() and rho_bc.is_full_rank()
-    )
+    # rho_B = Tr_C rho_BC is full rank whenever rho_BC is
+    rank_deficient = not (rho_ab.is_full_rank() and rho_bc.is_full_rank())
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
     ab_half = embed(spectral_function(rho_ab.eig, "sqrt"), rho_ab.layout, layout)
-    y = _bc_factor(rho_bc, rho_b, 0.5)
+    y = _bc_factor(rho_bc, b, 0.5)
     theta = apply_local(y, rho_bc.layout, layout, ab_half)
     scale = max(frobenius(theta) ** 2, support_cutoff(np.array([1.0])))
     comm = theta @ theta.conj().T - theta.conj().T @ theta

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, partial_trace, union_find
+from .layout import LayoutError, SubsystemLayout, partial_trace, spanning_tree_problem
 from .linalg import (
     HermitianEig,
     frobenius,
@@ -20,6 +20,7 @@ from .linalg import (
 )
 
 TRACE_TOL = 1e-9
+NEGATIVITY_TOL = 1e-10
 OVERLAP_TOL = 1e-8
 
 
@@ -32,7 +33,8 @@ class DensityOperator:
     """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
 
     The spectrum computed for validation is kept (read-only) and serves
-    every eigenvalue query; ``eig`` decomposes the matrix at most once.
+    every eigenvalue query; ``eig`` decomposes the matrix at most once,
+    and ``marginal`` builds each reduced state at most once.
     A complex128 ``matrix`` is adopted without a copy and made read-only,
     so pass a copy to keep your own array writable; other dtypes are
     converted into a new array.
@@ -45,17 +47,24 @@ class DensityOperator:
         self._validate(np.asarray(self.matrix, dtype=complex))
 
     @classmethod
-    def _from_eig(cls, layout: SubsystemLayout, eig: HermitianEig) -> "DensityOperator":
-        """The state with decomposition ``eig``, checked as ``__init__``
-        checks a matrix but on the known spectrum instead of a new one."""
+    def _checked(cls, layout, m, w=None, floor=NEGATIVITY_TOL) -> "DensityOperator":
+        """``cls(layout, m)``, checked on the spectrum ``w`` when it is known
+        and with negative eigenvalues down to ``-floor`` allowed."""
         state = object.__new__(cls)
         object.__setattr__(state, "layout", layout)
-        state._validate(eig.reconstruct(), eig.eigenvalues)
+        state._validate(m, w, floor)
+        return state
+
+    @classmethod
+    def _from_eig(cls, layout: SubsystemLayout, eig: HermitianEig) -> "DensityOperator":
+        """The state with decomposition ``eig``, checked on its known spectrum."""
+        state = cls._checked(layout, eig.reconstruct(), eig.eigenvalues)
         _freeze(eig.eigenvectors)
         object.__setattr__(state, "eig", eig)  # fills the cached property
         return state
 
-    def _validate(self, m: np.ndarray, w: np.ndarray | None = None):
+    def _validate(self, m: np.ndarray, w: np.ndarray | None = None,
+                  floor: float = NEGATIVITY_TOL):
         if m.shape != (self.layout.dim, self.layout.dim):
             raise StateError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
@@ -64,7 +73,7 @@ class DensityOperator:
             raise StateError("matrix is not Hermitian within tolerance")
         if w is None:
             w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if np.min(w) < -1e-10:
+        if np.min(w) < -floor:
             raise StateError(f"negative eigenvalue {np.min(w):.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -72,6 +81,7 @@ class DensityOperator:
         _freeze(m, w)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", w)
+        object.__setattr__(self, "_marginals", {})  # label set -> reduced state
 
     @cached_property
     def eig(self) -> HermitianEig:
@@ -85,10 +95,20 @@ class DensityOperator:
         return self.layout.labels
 
     def marginal(self, keep) -> "DensityOperator":
-        if set(keep) == set(self.labels):
+        """The reduced state on ``keep``, built on first use and then kept,
+        so every caller shares it and its one decomposition."""
+        keep = frozenset(keep)
+        if keep == frozenset(self.labels):
             return self
-        reduced = partial_trace(self.matrix, self.layout, keep)
-        return DensityOperator(self.layout.restrict(keep), reduced)
+        if keep not in self._marginals:
+            layout = self.layout.restrict(keep)
+            # lambda_min(Tr_C rho) >= d_C lambda_min(rho), so the floor
+            # scales with the traced-out dimension d_C
+            floor = self.layout.dim // layout.dim * max(
+                NEGATIVITY_TOL, -float(np.min(self._spectrum)))
+            reduced = partial_trace(self.matrix, self.layout, keep)
+            self._marginals[keep] = self._checked(layout, reduced, floor=floor)
+        return self._marginals[keep]
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (read-only)."""
@@ -366,23 +386,13 @@ def sample_markov_tree(
     shape, so the construction loses no generality there.)
     """
     edges = [tuple(sorted(e)) for e in edges]
-    _check_spanning_tree(layout.labels, edges)
+    problem = spanning_tree_problem(layout.labels, edges)
+    if problem:
+        raise StateError(problem)
     rng = _rng(seed)
     if len(layout.labels) == 2:
         return sample_density(layout, seed=rng)
     return _sample_classical_backbone_tree(layout, edges, rng)
-
-
-def _check_spanning_tree(labels, edges):
-    labels = tuple(labels)
-    if len(edges) != len(labels) - 1:
-        raise StateError(f"{len(edges)} edges cannot span {len(labels)} vertices")
-    union = union_find(labels)
-    for a, b in edges:
-        if a not in labels or b not in labels:
-            raise StateError(f"edge {a}-{b} uses an unknown vertex")
-        if not union(a, b):
-            raise StateError(f"edge set contains a cycle through {a}-{b}")
 
 
 def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .layout import LayoutError, SubsystemLayout, union_find
+from .layout import LayoutError, SubsystemLayout, spanning_tree_problem, union_find
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
@@ -41,20 +42,6 @@ def _sorted_pair(pair) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _check_spanning(labels, edges):
-    labels = tuple(labels)
-    if len(edges) != len(labels) - 1:
-        raise TreeError(
-            f"{len(edges)} edges cannot span {len(labels)} vertices"
-        )
-    union = union_find(labels)
-    for a, b in edges:
-        if a not in labels or b not in labels:
-            raise TreeError(f"edge {a}-{b} uses an unknown vertex")
-        if not union(a, b):
-            raise TreeError(f"edge set has a cycle through {a}-{b}")
-
-
 @dataclass(frozen=True)
 class QuantumTree:
     """Spanning tree over subsystem labels with a marginal per edge."""
@@ -66,7 +53,9 @@ class QuantumTree:
     def __post_init__(self):
         edges = tuple(_sorted_pair(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        _check_spanning(self.layout.labels, edges)
+        problem = spanning_tree_problem(self.layout.labels, edges)
+        if problem:
+            raise TreeError(problem)
         marginals = {_sorted_pair(k): v for k, v in self.edge_marginals.items()}
         object.__setattr__(self, "edge_marginals", marginals)
         if set(marginals) != set(edges):
@@ -89,17 +78,8 @@ class QuantumTree:
                         f"trace distance {dist:.3e}"
                     )
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(out)
-
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return sum(v in e for e in self.edges)
 
     def vertex_marginal(self, v: str) -> DensityOperator:
         for e in self.edges:
@@ -207,11 +187,9 @@ def tree_recover(
                 report=report,
             )
         target = tree.layout.restrict(set(state.labels) | {leaf})
-        # a strict run got here only if the report's overlap residual is
-        # within eps_m, which is the whole of petz_recover's overlap check
-        state = petz_recover(
-            state, edge_marg, eps_m=eps_m, target=target, check_overlap=False,
-        ).state
+        # the report above gates the overlap in a strict run, and a
+        # non-strict run recovers whatever the overlap
+        state = petz_recover(state, edge_marg, eps_m=math.inf, target=target).state
     return TreeRecoveryResult(state, tuple(reports), rank_deficient)
 
 
@@ -351,8 +329,5 @@ def enumerate_spanning_trees(labels):
     n = len(labels)
     pairs = list(itertools.combinations(labels, 2))
     for combo in itertools.combinations(pairs, n - 1):
-        try:
-            _check_spanning(labels, combo)
-        except TreeError:
-            continue
-        yield tuple(sorted(combo))
+        if spanning_tree_problem(labels, combo) is None:
+            yield tuple(sorted(combo))

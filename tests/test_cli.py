@@ -1,6 +1,7 @@
 """Operator files and the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ class TestRecover:
         write_density(pb, b)
         assert main(["recover", str(pa), str(pb), "-o",
                      str(tmp_path / "o.json")]) == 2
+
+    def test_zero_pre_normalization_trace_exit_two(self, tmp_path, capsys):
+        # rho_AB = |01><01| and rho_BC = |00><00|: the map sends rho_AB to 0
+        paths = []
+        for labels, k in ((("A", "B"), 1), (("B", "C"), 0)):
+            m = np.zeros((4, 4), dtype=complex)
+            m[k, k] = 1.0
+            paths.append(tmp_path / f"{''.join(labels)}.json")
+            layout = SubsystemLayout(labels, (2, 2))
+            write_density(paths[-1], DensityOperator(layout, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["recover", *map(str, paths), "--tol-marginal", "2",
+                         "-o", str(tmp_path / "out.json")]) == 2
+        assert "pre-normalization trace 0.000e+00" in capsys.readouterr().err
 
 
 class TestSelect:

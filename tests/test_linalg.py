@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmctree import HermitianEig, hermitian_eig, hs_inner, matrix_function, trace_distance
+from qmctree import HermitianEig, hermitian_eig, matrix_function, trace_distance
 from qmctree.linalg import MatrixError, frobenius
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -87,23 +87,6 @@ class TestMatrixFunction:
             np.diag([np.sqrt(2), np.sqrt(2), np.sqrt(8)]),
             atol=1e-12,
         )
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_pauli_orthogonality(self):
-        assert abs(hs_inner(PAULI_X, PAULI_Y)) < 1e-14
-
-    def test_frobenius_norm(self, rng):
-        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        elementwise = np.sum(np.abs(g) ** 2)
-        assert hs_inner(g, g).real == pytest.approx(elementwise, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(MatrixError):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestTraceDistance:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qmctree import (
     DensityOperator,
     QmcSpec,
+    QuantumTree,
     SubsystemLayout,
     check_qmc_compatibility,
     learn_tree,
@@ -24,7 +25,10 @@ from qmctree import (
     sample_density,
     sample_markov_path,
     sample_qmc,
+    trace_distance,
+    tree_recover,
 )
+from qmctree import states
 from qmctree.layout import apply_local, embed
 from qmctree.linalg import hermitian_eig, matrix_function, support_cutoff
 from qmctree.recovery import compose_layouts
@@ -45,6 +49,27 @@ def eig_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return seen
+
+
+@pytest.fixture
+def partial_traces(monkeypatch):
+    """Label sets traced down to by ``DensityOperator.marginal``, in call order."""
+    seen = []
+    real = states.partial_trace
+
+    def counted(op, layout, keep):
+        seen.append(tuple(sorted(keep)))
+        return real(op, layout, keep)
+
+    monkeypatch.setattr(states, "partial_trace", counted)
+    return seen
+
+
+def markov_path_tree(labels, seed):
+    """A Markov path state on qubits and the tree of its path edges."""
+    joint = sample_markov_path(labels, (2,) * len(labels), seed=seed)
+    edges = list(zip(labels, labels[1:]))
+    return joint, QuantumTree(joint.layout, edges, {e: joint.marginal(e) for e in edges})
 
 
 def two_eigh_relative_entropy(rho, sigma):
@@ -162,6 +187,43 @@ class TestSpectrumKept:
     def test_full_marginal_is_self(self, rng):
         rho = sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=rng)
         assert rho.marginal(("B", "A")) is rho
+
+    def test_marginal_kept_per_label_set(self, rng):
+        rho = sample_density(SubsystemLayout(("A", "B", "C"), (2, 3, 2)), seed=rng)
+        assert rho.marginal(("B", "A")) is rho.marginal(("A", "B"))
+
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_check_and_petz_trace_out_b_once_per_marginal(self, partial_traces, t):
+        state = sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=13)
+        rho_ab, rho_bc = state.marginal(("A", "B")), state.marginal(("B", "C"))
+        partial_traces.clear()
+        assert check_qmc_compatibility(rho_ab, rho_bc).verdict
+        petz_recover(rho_ab, rho_bc)
+        petz_recover(rho_ab, rho_bc, t=t)
+        assert partial_traces == [("B",), ("B",)]
+
+    def test_three_step_recovery_eigh_count(self, monkeypatch):
+        joint, tree = markov_path_tree(tuple("ABCDE"), seed=21)
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        result = tree_recover(tree)
+        assert len(result.step_reports) == 3
+        assert len(calls) <= 10
+        assert trace_distance(result.state.matrix, joint.matrix) < 1e-8
+
+    def test_non_strict_recovery_never_checks_overlap(self):
+        # with eps_m = 0, rounding alone fails some step's report; a
+        # non-strict run still recovers the joint
+        joint, tree = markov_path_tree(tuple("ABCDE"), seed=22)
+        result = tree_recover(tree, eps_m=0.0, strict=False)
+        assert not all(report.verdict for _, report in result.step_reports)
+        assert trace_distance(result.state.matrix, joint.matrix) < 1e-8
 
     def test_petz_output_checked_like_a_matrix(self):
         layout = SubsystemLayout(("A",), (2,))

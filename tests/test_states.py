@@ -57,6 +57,16 @@ class TestDensityOperator:
         )
         assert trace_distance(joint.marginal(("A",)).matrix, a.matrix) < 1e-12
 
+    def test_marginal_floor_scales_with_traced_dimension(self):
+        # lambda_min = -9e-11 is within the constructor's floor, and tracing
+        # out the four-dimensional C sums four such entries into -3.6e-10
+        layout = SubsystemLayout(("A", "B", "C"), (2, 2, 4))
+        p = np.full(16, (1 + 3.6e-10) / 12)
+        p[:4] = -0.9e-10
+        rho = DensityOperator(layout, np.diag(p))
+        ab = rho.marginal(("A", "B"))
+        assert ab.eigenvalues()[0] == pytest.approx(-3.6e-10, rel=1e-6)
+
     def test_matrix_read_only(self):
         state = maximally_mixed(L2)
         with pytest.raises(ValueError):
