@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .layout import SubsystemLayout
+from .layout import LayoutError, SubsystemLayout
 from .states import DensityOperator
 from .tree import QuantumTree
 
@@ -49,9 +49,14 @@ def _layout_from_dict(data: dict, *fields) -> SubsystemLayout:
         isinstance(labels, list) and all(isinstance(l, str) for l in labels),
         "labels must be a list of strings",
     )
+    dims = data["dims"]
+    _require(
+        isinstance(dims, list) and all(type(d) is int for d in dims),  # no bools
+        "dims must be a list of integers",
+    )
     try:
-        return SubsystemLayout(tuple(labels), tuple(data["dims"]))
-    except (TypeError, ValueError) as err:
+        return SubsystemLayout(tuple(labels), tuple(dims))
+    except LayoutError as err:
         raise FileFormatError(f"bad layout: {err}") from err
 
 

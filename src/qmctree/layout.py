@@ -7,6 +7,7 @@ most significant factor, matching ``np.kron(first, ..., last)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -147,33 +148,38 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
     return tensor.reshape(target.dim, target.dim)
 
 
-def apply_local(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout,
-                matrix: np.ndarray) -> np.ndarray:
-    """``embed(op, sub, target) @ matrix`` without forming the embedded operator.
-
-    Contracts ``op`` with the row factors of ``matrix`` that ``sub`` names,
-    in O(D^2 * sub.dim) work instead of the O(D^3) of a dense product.
-    """
-    op = _check_square(op, sub)
-    matrix = _check_square(matrix, target)
-    _check_factors(sub, target)
-    n, k = target.n, sub.n
-    letters = string.ascii_letters
-    if n + k + 1 > len(letters):
+@functools.lru_cache(maxsize=256)
+def _product_spec(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
+                  target: SubsystemLayout) -> str:
+    """einsum subscripts of ``local_product`` for one layout triple."""
+    _check_factors(x_sub, target)
+    _check_factors(y_sub, target)
+    missing = set(target.labels) - set(x_sub.labels) - set(y_sub.labels)
+    if missing:
+        raise LayoutError(f"target factors {sorted(missing)} are on neither operand")
+    shared = set(x_sub.labels) & set(y_sub.labels)
+    if 2 * target.n + len(shared) > len(string.ascii_letters):
         raise LayoutError("too many factors for einsum contraction")
-    rows = list(letters[:n])
-    out = list(rows)
-    op_out = letters[n:n + k]
-    op_in = ""
-    for label, new in zip(sub.labels, op_out):
-        j = target.index(label)
-        op_in += rows[j]
-        out[j] = new
-    col = letters[n + k]
-    spec = f"{op_out}{op_in},{''.join(rows)}{col}->{''.join(out)}{col}"
-    tensor = matrix.reshape(*target.dims, target.dim)
-    local = op.reshape(*sub.dims, *sub.dims)
-    return np.einsum(spec, local, tensor).reshape(target.dim, target.dim)
+    letters = iter(string.ascii_letters)
+    row = {l: next(letters) for l in target.labels}
+    col = {l: next(letters) for l in target.labels}
+    # a shared factor is contracted; elsewhere the other operand is identity
+    mid = {l: next(letters) for l in shared}
+    x = [row[l] for l in x_sub.labels] + [mid.get(l, col[l]) for l in x_sub.labels]
+    y = [mid.get(l, row[l]) for l in y_sub.labels] + [col[l] for l in y_sub.labels]
+    out = [row[l] for l in target.labels] + [col[l] for l in target.labels]
+    return f"{''.join(x)},{''.join(y)}->{''.join(out)}"
+
+
+def local_product(x: np.ndarray, x_sub: SubsystemLayout, y: np.ndarray,
+                  y_sub: SubsystemLayout, target: SubsystemLayout) -> np.ndarray:
+    """``embed(x, x_sub, target) @ embed(y, y_sub, target)`` as one einsum in
+    O(D^2 * d) work, d the dimension of the factors both operands act on.
+    Every factor of ``target`` must be on at least one operand."""
+    spec = _product_spec(x_sub, y_sub, target)
+    x = _check_square(x, x_sub).reshape(x_sub.dims * 2)
+    y = _check_square(y, y_sub).reshape(y_sub.dims * 2)
+    return np.einsum(spec, x, y).reshape(target.dim, target.dim)
 
 
 def union_find(labels):

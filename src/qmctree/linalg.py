@@ -55,7 +55,13 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
     return SUPPORT_CUTOFF_FACTOR * top
 
 
-_PSD_FUNCTIONS = {"sqrt", "inv_sqrt", "log", "power"}
+# f(eigenvalues on the support, z); each is zero on the kernel
+_SUPPORT_FUNCTIONS = {
+    "sqrt": lambda w, z: np.sqrt(w),
+    "inv_sqrt": lambda w, z: 1.0 / np.sqrt(w),
+    "log": lambda w, z: np.log(w),
+    "power": lambda w, z: np.exp(complex(z) * np.log(w)),
+}
 
 
 def matrix_function(op: np.ndarray, f: str, z: complex | None = None) -> np.ndarray:
@@ -72,29 +78,21 @@ def spectral_function(
 ) -> np.ndarray:
     """``matrix_function`` of the matrix whose decomposition is ``eig``."""
     w, v = eig.eigenvalues, eig.eigenvectors
-    if f in _PSD_FUNCTIONS and np.min(w) < -EIG_NEGATIVITY_TOL:
+    if f == "exp":
+        return (v * np.exp(w)) @ v.conj().T
+    if f not in _SUPPORT_FUNCTIONS:
+        raise MatrixError(f"unknown matrix function {f!r}")
+    lo, hi = float(np.min(w)), float(np.max(w))
+    if lo < -EIG_NEGATIVITY_TOL:
         raise MatrixError(
             f"{f} requires a positive-semidefinite input; "
-            f"min eigenvalue {np.min(w):.3e}"
+            f"min eigenvalue {lo:.3e}"
         )
-    if f == "exp":
-        g = np.exp(w)
-    else:
-        tau = support_cutoff(w)
-        support = w > tau
-        wp = np.where(support, w, 1.0)  # placeholder off support
-        if f == "sqrt":
-            g = np.where(support, np.sqrt(wp), 0.0)
-        elif f == "inv_sqrt":
-            g = np.where(support, 1.0 / np.sqrt(wp), 0.0)
-        elif f == "log":
-            g = np.where(support, np.log(wp), 0.0)
-        elif f == "power":
-            if z is None:
-                raise MatrixError("power requires an exponent z")
-            g = np.where(support, np.exp(complex(z) * np.log(wp)), 0.0)
-        else:
-            raise MatrixError(f"unknown matrix function {f!r}")
+    if f == "power" and z is None:
+        raise MatrixError("power requires an exponent z")
+    support = w > SUPPORT_CUTOFF_FACTOR * max(hi, -lo)  # support_cutoff(w)
+    g = np.zeros(w.shape, complex if f == "power" else float)
+    g[support] = _SUPPORT_FUNCTIONS[f](w[support], z)
     return (v * g) @ v.conj().T
 
 

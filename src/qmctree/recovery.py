@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, apply_local, embed
+from .layout import LayoutError, SubsystemLayout, local_product
 from .linalg import HermitianEig, frobenius, spectral_function, support_cutoff
 from .states import (
     DensityOperator,
@@ -93,12 +93,11 @@ def petz_recover(
                 f"> {eps_m:.1e}"
             )
     z = (1 + 1j * t) / 2
-    # X = rho_BC^z rho_B^-z acts on BC only; the output is X rho_AB X^dagger,
-    # formed as X (X rho_AB)^dagger and hermitized
+    # X = rho_BC^z rho_B^-z acts on BC only; the output is
+    # (X rho_AB) X^dagger, hermitized
     x = _bc_factor(rho_bc, b, z)
-    ab = embed(rho_ab.matrix, rho_ab.layout, layout)
-    xab = apply_local(x, rho_bc.layout, layout, ab)
-    m = apply_local(x, rho_bc.layout, layout, xab.conj().T)
+    xab = local_product(x, rho_bc.layout, rho_ab.matrix, rho_ab.layout, layout)
+    m = local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
     m = (m + m.conj().T) / 2
     # clip tiny negative eigenvalues left by floating-point cancellation
     w, v = np.linalg.eigh(m)
@@ -117,10 +116,10 @@ def _bc_factor(rho_bc: DensityOperator, b, z) -> np.ndarray:
     """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``, with
     rho_B its stored marginal on the shared labels ``b``."""
     rho_b = rho_bc.marginal(b)
-    b_pow = embed(
-        spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout
+    return local_product(
+        spectral_function(rho_bc.eig, "power", z), rho_bc.layout,
+        spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout,
     )
-    return spectral_function(rho_bc.eig, "power", z) @ b_pow
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,10 @@ def check_qmc_compatibility(
     rank_deficient = not (rho_ab.is_full_rank() and rho_bc.is_full_rank())
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
-    ab_half = embed(spectral_function(rho_ab.eig, "sqrt"), rho_ab.layout, layout)
     y = _bc_factor(rho_bc, b, 0.5)
-    theta = apply_local(y, rho_bc.layout, layout, ab_half)
+    theta = local_product(
+        y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"), rho_ab.layout, layout
+    )
     scale = max(frobenius(theta) ** 2, support_cutoff(np.array([1.0])))
     comm = theta @ theta.conj().T - theta.conj().T @ theta
     norm_res = frobenius(comm) / scale

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from qmctree import DensityOperator, SubsystemLayout, classical_state
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def ghz_state() -> DensityOperator:
@@ -38,6 +42,35 @@ def random_conditional(rng, rows: int, cols: int) -> np.ndarray:
     """Row-stochastic matrix with entries bounded away from zero."""
     m = rng.uniform(0.1, 1.0, (rows, cols))
     return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def layouts(draw, max_factors=4):
+    """Up to four labeled factors of dimension 1 to 3, in a random order."""
+    n = draw(st.integers(2, max_factors))
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    labels = draw(st.permutations("ABCD"[:n]))
+    return SubsystemLayout(tuple(labels), tuple(dims))
+
+
+@st.composite
+def local_cases(draw):
+    """(target, x_sub, y_sub, seed): two sub-layouts of the target that
+    together cover its factors, may share any of them, and each name
+    their factors in any order."""
+    target = draw(layouts())
+    k = draw(st.integers(1, target.n))
+    x_labels = draw(st.permutations(target.labels))[:k]
+    rest = [l for l in target.labels if l not in x_labels]
+    shared = draw(st.lists(
+        st.sampled_from(x_labels), unique=True, min_size=0 if rest else 1
+    ))
+    y_labels = draw(st.permutations(rest + shared))
+
+    def sub(labels):
+        return SubsystemLayout(tuple(labels), tuple(target.dim_of(l) for l in labels))
+
+    return target, sub(x_labels), sub(y_labels), draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.fixture

@@ -469,3 +469,19 @@ class TestMalformedOperatorFiles:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
         assert self.run(capsys, ["check", str(path), str(path)]) == 2
+
+    @pytest.mark.parametrize("labels, dims", [
+        (["A", "B"], [2.7, 4]),
+        (["A", "B"], ["2", "4"]),
+        (["A", "X", "B"], [2, True, 4]),
+        (["A", "B"], {"2": 0, "4": 0}),
+    ], ids=["float", "string", "bool", "object"])
+    def test_dims_not_integers(self, qmc_files, capsys, labels, dims):
+        # each would coerce to the (2, 4) layout of the A-B marginal
+        _, ab, bc = qmc_files
+        with open(ab) as fh:
+            data = json.load(fh)
+        data["labels"], data["dims"] = labels, dims
+        with open(ab, "w") as fh:
+            json.dump(data, fh)
+        assert self.run(capsys, ["check", ab, bc]) == 2

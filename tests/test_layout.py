@@ -1,10 +1,14 @@
-"""Layout algebra: partial trace and identity embedding."""
+"""Layout algebra: partial trace, identity embedding and local products."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmctree import SubsystemLayout, embed, partial_trace
-from qmctree.layout import LayoutError, union_find
+from qmctree.layout import LayoutError, local_product, union_find
+
+from conftest import PROPERTY, layouts, local_cases
 
 
 L_ABC = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
@@ -156,3 +160,65 @@ class TestEmbed:
         sub = SubsystemLayout(("X",), (2,))
         with pytest.raises(LayoutError):
             embed(np.eye(2), sub, L_ABC)
+
+
+class TestLayoutAlgebra:
+    @PROPERTY
+    @given(case=local_cases())
+    def test_trace_of_embedding(self, case):
+        # partial_trace(embed(X)) = X * d_rest, in the target's label order
+        target, sub, _, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((sub.dim,) * 2) + 1j * rng.standard_normal((sub.dim,) * 2)
+        kept = target.restrict(sub.labels)
+        np.testing.assert_allclose(
+            partial_trace(embed(x, sub, target), target, sub.labels),
+            embed(x, sub, kept) * (target.dim // sub.dim),
+            atol=1e-12,
+        )
+
+    @PROPERTY
+    @given(target=layouts(), data=st.data())
+    def test_disjoint_partial_traces_commute(self, target, data):
+        order = data.draw(st.permutations(target.labels))
+        i = data.draw(st.integers(1, target.n - 1))
+        j = data.draw(st.integers(i, target.n))
+        keep, first, second = order[:i], order[i:j], order[j:]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        op = random_density(rng, target.dim)
+
+        def trace_out(traced):
+            mid = target.restrict(set(target.labels) - set(traced))
+            return partial_trace(partial_trace(op, target, mid.labels), mid, keep)
+
+        direct = partial_trace(op, target, keep)
+        np.testing.assert_allclose(trace_out(first), direct, atol=1e-12)
+        np.testing.assert_allclose(trace_out(second), direct, atol=1e-12)
+
+
+class TestEinsumLetterLimit:
+    """Contractions past the 52 einsum letters raise LayoutError, not
+    numpy's ValueError (LayoutError subclasses it, so match the type)."""
+
+    @staticmethod
+    def unit_factors(n):
+        return SubsystemLayout(tuple(f"q{i}" for i in range(n)), (1,) * n)
+
+    @pytest.mark.parametrize("n", [27, 40])
+    def test_past_the_limit(self, n):
+        many = self.unit_factors(n)
+        one = many.restrict(("q0",))
+        with pytest.raises(LayoutError, match="too many factors"):
+            partial_trace(np.eye(1), many, ("q0",))
+        with pytest.raises(LayoutError, match="too many factors"):
+            local_product(np.eye(1), many, np.eye(1), one, many)
+
+    def test_at_the_limit(self):
+        many = self.unit_factors(26)
+        half = many.restrict(many.labels[:13])
+        rest = many.restrict(many.labels[13:])
+        assert partial_trace(np.eye(1), many, ("q0",)).shape == (1, 1)
+        assert local_product(np.eye(1), half, np.eye(1), rest, many).shape == (1, 1)
+        # one shared factor needs a 53rd letter
+        with pytest.raises(LayoutError, match="too many factors"):
+            local_product(np.eye(1), many, np.eye(1), half, many)

@@ -1,13 +1,16 @@
 """Hermitian matrix calculus: eigendecomposition and support-restricted functions."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qmctree import HermitianEig, hermitian_eig, matrix_function, trace_distance
-from qmctree.linalg import MatrixError, frobenius
+from qmctree.linalg import MatrixError, frobenius, spectral_function
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+POWER_Z = 0.5 - 0.35j
 
 
 def random_hermitian(rng, d):
@@ -97,3 +100,57 @@ class TestTraceDistance:
         assert trace_distance(
             np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         ) == pytest.approx(1.0)
+
+
+class TestSpectralFunctionRankDeficient:
+    """f acts on the support only and is zero on the kernel, which holds
+    exact zeros, eigenvalues below the cutoff and tiny negatives."""
+
+    SPECTRUM = np.array([-5e-11, 0.0, 0.0, 1e-14, 0.15, 0.25, 0.6])
+    REFERENCE = {
+        "sqrt": lambda x: x ** 0.5,
+        "inv_sqrt": lambda x: x ** -0.5,
+        "log": math.log,
+        "power": lambda x: complex(x) ** POWER_Z,
+    }
+
+    @staticmethod
+    def decomposition(rng, w):
+        v, _ = np.linalg.qr(
+            rng.standard_normal((w.size,) * 2) + 1j * rng.standard_normal((w.size,) * 2)
+        )
+        return HermitianEig(w, v)
+
+    @pytest.mark.parametrize("f", ["sqrt", "inv_sqrt", "log", "power"])
+    def test_matches_per_eigenvalue_reference(self, rng, f):
+        eig = self.decomposition(rng, self.SPECTRUM)
+        cutoff = 1e-12 * np.max(np.abs(self.SPECTRUM))
+        g = [self.REFERENCE[f](x) if x > cutoff else 0.0 for x in self.SPECTRUM]
+        v = eig.eigenvectors
+        np.testing.assert_allclose(
+            spectral_function(eig, f, POWER_Z if f == "power" else None),
+            (v * np.array(g)) @ v.conj().T,
+            atol=1e-12,
+        )
+
+    def test_errors_unchanged(self, rng):
+        eig = self.decomposition(rng, self.SPECTRUM)
+        with pytest.raises(MatrixError, match=r"^unknown matrix function 'cbrt'$"):
+            spectral_function(eig, "cbrt")
+        with pytest.raises(MatrixError, match=r"^power requires an exponent z$"):
+            spectral_function(eig, "power")
+        negative = self.decomposition(rng, np.array([-1e-3, 0.2, 0.8]))
+        for f in ("sqrt", "inv_sqrt", "log", "power"):
+            with pytest.raises(
+                MatrixError,
+                match=rf"^{f} requires a positive-semidefinite input; "
+                r"min eigenvalue -1\.000e-03$",
+            ):
+                spectral_function(negative, f, 0.5)
+        # exp needs no positivity
+        np.testing.assert_allclose(
+            spectral_function(negative, "exp"),
+            negative.eigenvectors @ np.diag(np.exp([-1e-3, 0.2, 0.8]))
+            @ negative.eigenvectors.conj().T,
+            atol=1e-12,
+        )

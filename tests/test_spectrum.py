@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmctree import (
@@ -29,11 +29,11 @@ from qmctree import (
     tree_recover,
 )
 from qmctree import states
-from qmctree.layout import apply_local, embed
+from qmctree.layout import LayoutError, embed, local_product
 from qmctree.linalg import hermitian_eig, matrix_function, support_cutoff
 from qmctree.recovery import compose_layouts
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+from conftest import PROPERTY, layouts, local_cases
 
 
 @pytest.fixture
@@ -99,26 +99,6 @@ def dense_petz(rho_ab, rho_bc, t, layout):
         @ embed(matrix_function(rho_b.matrix, "power", -z), rho_b.layout, layout)
     m = x @ embed(rho_ab.matrix, rho_ab.layout, layout) @ x.conj().T
     return m / np.trace(m).real
-
-
-@st.composite
-def layouts(draw, max_factors=4):
-    """Up to four labeled factors of dimension 1 to 3, in a random order."""
-    n = draw(st.integers(2, max_factors))
-    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    labels = draw(st.permutations("ABCD"[:n]))
-    return SubsystemLayout(tuple(labels), tuple(dims))
-
-
-@st.composite
-def local_cases(draw):
-    """(target, sub, seed): ``sub`` is any nonempty subset of the target's
-    factors, in any order."""
-    target = draw(layouts())
-    k = draw(st.integers(1, target.n))
-    picked = tuple(draw(st.permutations(target.labels))[:k])
-    sub = SubsystemLayout(picked, tuple(target.dim_of(l) for l in picked))
-    return target, sub, draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
@@ -288,20 +268,36 @@ class TestRelativeEntropyOracle:
 class TestLocalApplication:
     @PROPERTY
     @given(case=local_cases())
-    @example(case=(  # non-contiguous factors, named out of target order
+    @example(case=(  # overlapping non-contiguous factors, named out of target order
         SubsystemLayout(("A", "B", "C", "D"), (2, 2, 3, 2)),
-        SubsystemLayout(("D", "B"), (2, 2)), 0,
+        SubsystemLayout(("D", "B"), (2, 2)),
+        SubsystemLayout(("C", "D", "A"), (3, 2, 2)), 0,
     ))
-    def test_apply_local_equals_embed_matmul(self, case):
-        target, sub, seed = case
+    @example(case=(  # y on the whole target: x applied to a full matrix
+        SubsystemLayout(("A", "B", "C"), (2, 3, 2)),
+        SubsystemLayout(("C", "A"), (2, 2)),
+        SubsystemLayout(("A", "B", "C"), (2, 3, 2)), 1,
+    ))
+    def test_local_product_equals_embed_matmul(self, case):
+        target, x_sub, y_sub, seed = case
         rng = np.random.default_rng(seed)
-        op, m = (
+        x, y = (
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in (sub.dim, target.dim)
+            for d in (x_sub.dim, y_sub.dim)
         )
         np.testing.assert_allclose(
-            apply_local(op, sub, target, m), embed(op, sub, target) @ m, atol=1e-12
+            local_product(x, x_sub, y, y_sub, target),
+            embed(x, x_sub, target) @ embed(y, y_sub, target),
+            atol=1e-12,
         )
+
+    def test_local_product_factor_on_neither_operand(self):
+        target = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
+        with pytest.raises(LayoutError, match="neither operand"):
+            local_product(
+                np.eye(4), target.restrict(("A", "B")),
+                np.eye(2), target.restrict(("B",)), target,
+            )
 
     @PROPERTY
     @given(case=petz_cases())
