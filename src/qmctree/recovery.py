@@ -93,22 +93,28 @@ def petz_recover(
                 f"> {eps_m:.1e}"
             )
     z = (1 + 1j * t) / 2
-    # X = rho_BC^z rho_B^-z acts on BC only; the output is
-    # (X rho_AB) X^dagger, hermitized
+    # X = rho_BC^z rho_B^-z acts on BC only; the output is (X rho_AB) X^dagger
     x = _bc_factor(rho_bc, b, z)
     xab = local_product(x, rho_bc.layout, rho_ab.matrix, rho_ab.layout, layout)
     m = local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
-    m = (m + m.conj().T) / 2
-    # clip tiny negative eigenvalues left by floating-point cancellation
+    return _petz_state(m, layout, b)
+
+
+def _petz_state(m: np.ndarray, layout: SubsystemLayout, b) -> RecoveryResult:
+    """The state of the unnormalized Petz output ``m`` (overwritten)."""
+    # eigh reads only one triangle; rounding's negative eigenvalues are cut from m
     w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
+    neg = w < 0.0
+    if neg.any():
+        m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
+        w[neg] = 0.0
     tr = float(np.sum(w))
     if not tr > 0.0:
         raise RecoveryError(
             f"recovered operator has pre-normalization trace {tr:.3e}: "
             f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
         )
-    state = DensityOperator._from_eig(layout, HermitianEig(w / tr, v))
+    state = DensityOperator._from_eig(layout, HermitianEig(w / tr, v), m / tr)
     return RecoveryResult(state, tr)
 
 
@@ -143,6 +149,11 @@ def check_qmc_compatibility(
 ) -> CompatReport:
     """Test whether two overlapping marginals admit a joint state with zero
     conditional correlation across their shared factor."""
+    return _normality_test(rho_ab, rho_bc, eps_m, eps_n)[0]
+
+
+def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
+    """The report and theta theta^dagger (the t = 0 Petz output) on ``target``."""
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     marg_res = overlap_distance(rho_ab, rho_bc, b)
     # rho_B = Tr_C rho_BC is full rank whenever rho_BC is
@@ -150,16 +161,16 @@ def check_qmc_compatibility(
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
     y = _bc_factor(rho_bc, b, 0.5)
-    theta = local_product(
-        y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"), rho_ab.layout, layout
-    )
+    theta = local_product(y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"),
+                          rho_ab.layout, target or layout)
     scale = max(frobenius(theta) ** 2, support_cutoff(np.array([1.0])))
-    comm = theta @ theta.conj().T - theta.conj().T @ theta
-    norm_res = frobenius(comm) / scale
+    tt = theta @ theta.conj().T
+    norm_res = frobenius(tt - theta.conj().T @ theta) / scale
     sa_res = frobenius(theta - theta.conj().T) / max(frobenius(theta), 1e-300)
 
     verdict = marg_res <= eps_m and norm_res <= eps_n
-    return CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n)
+    report = CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n)
+    return report, tt
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +254,10 @@ def best_pair_mutual_info(
         marginals = {tuple(sorted(k)): v for k, v in source.items()}
     labels = _tripartite_labels(marginals)
 
+    outputs = {}  # chain -> its t = 0 Petz output, its overlap checked
     for chain in chains_in_tie_order(labels):
         p1, p2 = chain_pairs(chain)
-        report = check_qmc_compatibility(
+        report, outputs[chain] = _normality_test(
             marginals[p1], marginals[p2], eps_m, eps_n
         )
         if not report.verdict:
@@ -262,8 +274,8 @@ def best_pair_mutual_info(
     order = chains_in_tie_order(labels)
     scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
     best = best_in_tie_order(order, scores.__getitem__)
-    p1, p2 = chain_pairs(best)
-    estimator = petz_recover(marginals[p1], marginals[p2], eps_m=eps_m).state
+    _, b, _, layout = compose_layouts(*(marginals[p] for p in chain_pairs(best)))
+    estimator = _petz_state(outputs[best], layout, b).state
     return PairSelection(chain_discarded(best), best, scores, estimator)
 
 

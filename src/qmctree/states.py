@@ -56,9 +56,11 @@ class DensityOperator:
         return state
 
     @classmethod
-    def _from_eig(cls, layout: SubsystemLayout, eig: HermitianEig) -> "DensityOperator":
-        """The state with decomposition ``eig``, checked on its known spectrum."""
-        state = cls._checked(layout, eig.reconstruct(), eig.eigenvalues)
+    def _from_eig(cls, layout, eig: HermitianEig, m=None) -> "DensityOperator":
+        """The state ``m`` (by default rebuilt from its decomposition ``eig``),
+        checked on its known spectrum."""
+        m = eig.reconstruct() if m is None else m
+        state = cls._checked(layout, m, eig.eigenvalues)
         _freeze(eig.eigenvectors)
         object.__setattr__(state, "eig", eig)  # fills the cached property
         return state

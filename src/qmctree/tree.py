@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .layout import LayoutError, SubsystemLayout, spanning_tree_problem, union_find
@@ -11,9 +10,9 @@ from .recovery import (
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
     ESTIMATOR_MARGINAL_TOL,
+    _normality_test,
+    _petz_state,
     best_in_tie_order,
-    check_qmc_compatibility,
-    petz_recover,
 )
 from .states import (
     OVERLAP_TOL,
@@ -38,6 +37,8 @@ class TreeRecoveryError(TreeError):
 
 
 def _sorted_pair(pair) -> tuple[str, str]:
+    if len(pair) != 2:
+        raise TreeError(f"edge {tuple(pair)} is not a pair of labels")
     a, b = pair
     return (a, b) if a <= b else (b, a)
 
@@ -51,6 +52,8 @@ class QuantumTree:
     edge_marginals: dict
 
     def __post_init__(self):
+        if len(self.layout.labels) < 2:
+            raise TreeError("need at least two vertices")
         edges = tuple(_sorted_pair(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         problem = spanning_tree_problem(self.layout.labels, edges)
@@ -157,6 +160,7 @@ class TreeRecoveryResult:
     state: DensityOperator
     step_reports: tuple  # (edge, CompatReport) per extension step
     rank_deficient: bool
+    pre_normalization_traces: tuple  # Petz output trace per extension step
 
 
 def tree_recover(
@@ -169,12 +173,13 @@ def tree_recover(
     transpose map; each extension step is gated by the compatibility test."""
     steps, root_edge = tree.peel_order()
     state = tree.edge_marginals[root_edge]
-    reports = []
+    reports, traces = [], []
     rank_deficient = False
     for leaf, parent, _ in reversed(steps):
         edge = _sorted_pair((leaf, parent))
         edge_marg = tree.edge_marginals[edge]
-        report = check_qmc_compatibility(state, edge_marg, eps_m, eps_n)
+        target = tree.layout.restrict(set(state.labels) | {leaf})
+        report, tt = _normality_test(state, edge_marg, eps_m, eps_n, target)
         reports.append((edge, report))
         rank_deficient = rank_deficient or report.rank_deficient
         if strict and not report.verdict:
@@ -186,11 +191,12 @@ def tree_recover(
                 edge=edge,
                 report=report,
             )
-        target = tree.layout.restrict(set(state.labels) | {leaf})
-        # the report above gates the overlap in a strict run, and a
-        # non-strict run recovers whatever the overlap
-        state = petz_recover(state, edge_marg, eps_m=math.inf, target=target).state
-    return TreeRecoveryResult(state, tuple(reports), rank_deficient)
+        # tt is the t = 0 Petz output; the report above gates the overlap in
+        # a strict run, and a non-strict run recovers whatever the overlap
+        result = _petz_state(tt, target, (parent,))
+        traces.append(result.pre_normalization_trace)
+        state = result.state
+    return TreeRecoveryResult(state, tuple(reports), rank_deficient, tuple(traces))
 
 
 @dataclass(frozen=True)

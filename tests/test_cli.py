@@ -353,6 +353,24 @@ class TestTreeFileValidation:
         data["marginals"]["A,B"] = ref
         assert self.run(tmp_path, capsys, data) == 2
 
+    def test_single_vertex(self, tmp_path, capsys):
+        data = {"labels": ["A"], "dims": [2], "edges": [], "marginals": {}}
+        desc = tmp_path / "tree.json"
+        desc.write_text(json.dumps(data))
+        assert main(["tree", "--tree-file", str(desc)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need at least two vertices\n"
+
+    def test_marginal_key_not_a_pair(self, tmp_path, capsys):
+        data = _valid_tree_description(tmp_path)
+        data["marginals"]["A,B,C"] = data["marginals"].pop("A,B")
+        desc = tmp_path / "tree.json"
+        desc.write_text(json.dumps(data))
+        assert main(["tree", "--tree-file", str(desc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "('A', 'B', 'C')" in err
+
 
 class TestDiagram:
     def test_qmc_commutes(self, qmc_files, capsys):

@@ -1,9 +1,12 @@
 """Petz recovery, the normality compatibility test, and pair selection."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmctree import (
     DensityOperator,
@@ -33,7 +36,9 @@ from qmctree.recovery import (
     chain_pairs,
 )
 
-from conftest import classical_chain, random_conditional
+from qmctree.states import pairwise_marginals, random_unitary
+
+from conftest import PROPERTY, classical_chain, random_conditional
 
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 
@@ -41,6 +46,21 @@ L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 def qmc_pair(seed, blocks=((0.5, 1, 2), (0.5, 2, 1))):
     state = sample_qmc(QmcSpec(2, 2, blocks), seed=seed)
     return state, state.marginal(("A", "B")), state.marginal(("B", "C"))
+
+
+@st.composite
+def qmc_specs(draw):
+    """QmcSpec with outer dimensions 1 to 3 and one to three middle blocks
+    of dimensions 1 to 2 (D <= 108)."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3
+    ))
+    weights = draw(st.lists(
+        st.floats(0.1, 1.0), min_size=len(shapes), max_size=len(shapes)
+    ))
+    probs = [w / sum(weights) for w in weights]
+    blocks = tuple((p, dl, dr) for p, (dl, dr) in zip(probs, shapes))
+    return QmcSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)), blocks)
 
 
 class TestPetzRecover:
@@ -129,6 +149,19 @@ class TestCompatibility:
         assert report.verdict
         assert report.marginal_consistency_residual <= 1e-9
         assert report.normality_residual <= 1e-9
+
+    @PROPERTY
+    @given(spec=qmc_specs(), t=st.sampled_from([0.0, 0.7, -2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_positive_verdict_recovers_both_marginals(self, spec, t, seed):
+        state = sample_qmc(spec, seed=seed)
+        ab, bc = state.marginal(("A", "B")), state.marginal(("B", "C"))
+        assert check_qmc_compatibility(ab, bc).verdict
+        out = petz_recover(ab, bc, t=t).state
+        for marginal in (ab, bc):
+            assert trace_distance(
+                out.marginal(marginal.labels).matrix, marginal.matrix
+            ) < 1e-9
 
     def test_generic_state_verdict_false(self):
         joint = sample_density(L3Q, seed=17)
@@ -238,6 +271,26 @@ class TestPairSelection:
         by_entropy = best_pair_min_entropy(marginals, estimators)
         by_mi = best_pair_mutual_info(joint)
         assert by_entropy.chain == by_mi.chain
+
+    @PROPERTY
+    @given(dims=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1), from_pairs=st.booleans())
+    def test_estimator_equals_petz_on_chosen_chain(self, dims, seed, from_pairs):
+        # a classical joint in a random local basis passes the check on
+        # every chain, as mutual-information selection needs
+        rng = np.random.default_rng(seed)
+        layout = SubsystemLayout(("A", "B", "C"), tuple(dims))
+        p = rng.uniform(0.05, 1.0, layout.dim)
+        u = functools.reduce(np.kron, [random_unitary(d, rng) for d in dims])
+        joint = DensityOperator(layout, (u * (p / p.sum())) @ u.conj().T)
+        marginals = pairwise_marginals(joint)
+        selection = best_pair_mutual_info(marginals if from_pairs else joint)
+        p1, p2 = chain_pairs(selection.chain)
+        want = petz_recover(marginals[p1], marginals[p2]).state
+        assert selection.estimator.layout == want.layout
+        np.testing.assert_allclose(
+            selection.estimator.matrix, want.matrix, atol=1e-12
+        )
 
     def test_incompatible_pairs_raise(self):
         joint = sample_density(L3Q, seed=13)

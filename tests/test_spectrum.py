@@ -7,6 +7,7 @@ Eigendecompositions are counted by wrapping ``numpy.linalg.eigh`` and
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from qmctree import (
     trace_distance,
     tree_recover,
 )
-from qmctree import states
+from qmctree import recovery, states
 from qmctree.layout import LayoutError, embed, local_product
-from qmctree.linalg import hermitian_eig, matrix_function, support_cutoff
+from qmctree.linalg import HermitianEig, hermitian_eig, matrix_function, support_cutoff
 from qmctree.recovery import compose_layouts
 
 from conftest import PROPERTY, layouts, local_cases
@@ -196,6 +197,26 @@ class TestSpectrumKept:
         assert len(result.step_reports) == 3
         assert len(calls) <= 10
         assert trace_distance(result.state.matrix, joint.matrix) < 1e-8
+
+    def test_three_step_recovery_work_per_step(self, monkeypatch):
+        # per step: one local product for the BC factor and one for theta,
+        # whose theta theta^dagger is the Petz output, never rebuilt from
+        # its spectrum
+        _, tree = markov_path_tree(tuple("ABCDE"), seed=21)
+        calls = Counter()
+        for owner, name in ((recovery, "local_product"), (recovery, "_bc_factor"),
+                            (HermitianEig, "reconstruct")):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        result = tree_recover(tree)
+        assert len(result.step_reports) == 3
+        assert calls == Counter(local_product=6, _bc_factor=3)
+        assert calls["reconstruct"] == 0
 
     def test_non_strict_recovery_never_checks_overlap(self):
         # with eps_m = 0, rounding alone fails some step's report; a

@@ -1,16 +1,20 @@
 """Tree structure learning, iterated recovery, and entropy bookkeeping."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmctree import (
     DensityOperator,
     QuantumTree,
     SubsystemLayout,
     WeightedEdgeList,
+    check_qmc_compatibility,
     chow_liu_tree,
     classical_state,
     conditional_mutual_information,
@@ -37,7 +41,7 @@ from qmctree.tree import (
     pairwise_marginals,
 )
 
-from conftest import random_conditional
+from conftest import PROPERTY, layouts, random_conditional
 
 
 def classical_tree_state(layout, edges, rng):
@@ -72,6 +76,41 @@ def classical_tree_state(layout, edges, rng):
 L4 = SubsystemLayout(("A", "B", "C", "D"), (2, 2, 2, 2))
 
 
+def composed_recover(tree, eps_m, eps_n):
+    """``tree_recover``'s peel order through the public calls: the
+    (edge, report) pairs, the pre-normalization traces and the state."""
+    steps, root_edge = tree.peel_order()
+    state = tree.edge_marginals[root_edge]
+    reports, traces = [], []
+    for leaf, parent, _ in reversed(steps):
+        edge = tuple(sorted((leaf, parent)))
+        marg = tree.edge_marginals[edge]
+        reports.append((edge, check_qmc_compatibility(state, marg, eps_m, eps_n)))
+        target = tree.layout.restrict(set(state.labels) | {leaf})
+        result = petz_recover(state, marg, eps_m=math.inf, target=target)
+        traces.append(result.pre_normalization_trace)
+        state = result.state
+    return reports, traces, state
+
+
+@st.composite
+def tree_cases(draw):
+    """(kind, tree): a spanning tree on three or four factors (D >= 8),
+    with the edge marginals of a Markov, generic or rank-deficient joint."""
+    layout = draw(layouts().filter(lambda l: l.n >= 3 and l.dim >= 8))
+    edges = draw(st.sampled_from(list(enumerate_spanning_trees(layout.labels))))
+    kind = draw(st.sampled_from(["markov", "generic", "rank_deficient"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "markov":
+        joint = sample_markov_tree(layout, edges, seed=seed)
+    elif kind == "generic":
+        joint = sample_density(layout, seed=seed)
+    else:
+        rank = draw(st.integers(1, max(1, layout.dim // 4)))
+        joint = sample_density(layout, rank=rank, seed=seed)
+    return kind, QuantumTree(layout, edges, {e: joint.marginal(e) for e in edges})
+
+
 class TestQuantumTree:
     def make_tree(self, state, edges):
         return QuantumTree(
@@ -98,6 +137,20 @@ class TestQuantumTree:
                 SubsystemLayout(("A", "B", "C"), (2, 2, 2)),
                 [("A", "B"), ("B", "C")],
                 {("A", "B"): ab, ("B", "C"): bc},
+            )
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(TreeError, match="need at least two vertices"):
+            QuantumTree(SubsystemLayout(("A",), (2,)), [], {})
+
+    def test_marginal_key_not_a_pair_rejected(self, rng):
+        state = sample_density(SubsystemLayout(("A", "B", "C"), (2, 2, 2)),
+                               seed=rng)
+        with pytest.raises(TreeError, match=r"\('A', 'B', 'C'\)"):
+            QuantumTree(
+                state.layout, [("A", "B"), ("B", "C")],
+                {("A", "B", "C"): state.marginal(("A", "B")),
+                 ("B", "C"): state.marginal(("B", "C"))},
             )
 
     def test_peel_order_path(self, rng):
@@ -233,6 +286,41 @@ class TestTreeRecover:
             tree_recover(tree)
         assert err.value.edge is not None
         assert err.value.report is not None
+
+    @PROPERTY
+    @given(case=tree_cases())
+    def test_fused_steps_equal_public_calls(self, case):
+        # tree_recover reuses theta theta^dagger from each step's normality
+        # test as the t = 0 Petz output; composing the public calls must
+        # give the same reports, traces and state up to rounding
+        kind, tree = case
+        eps_m, eps_n = 1e-8, 1e-8
+        want_reports, want_traces, want_state = composed_recover(tree, eps_m, eps_n)
+        got = tree_recover(tree, eps_m, eps_n, strict=kind == "markov")
+        assert [e for e, _ in got.step_reports] == [e for e, _ in want_reports]
+        for (_, report), (_, want) in zip(got.step_reports, want_reports):
+            for f in dataclasses.fields(want):
+                value, expected = getattr(report, f.name), getattr(want, f.name)
+                if isinstance(expected, bool):
+                    assert value == expected, f.name
+                else:
+                    assert value == pytest.approx(expected, rel=1e-12), f.name
+        assert got.rank_deficient == any(r.rank_deficient for _, r in want_reports)
+        assert got.pre_normalization_traces == pytest.approx(want_traces, rel=1e-12)
+        assert got.state.layout == want_state.layout
+        np.testing.assert_allclose(got.state.matrix, want_state.matrix, atol=1e-12)
+
+    def test_pre_normalization_traces_recorded(self):
+        # a generic joint fails the compatibility test on some edge, and the
+        # non-strict run reports each step's trace before renormalization
+        joint = sample_density(L4, seed=23)
+        edges = [("A", "B"), ("B", "C"), ("B", "D")]
+        tree = QuantumTree(L4, edges, {e: joint.marginal(e) for e in edges})
+        result = tree_recover(tree, strict=False)
+        assert not all(report.verdict for _, report in result.step_reports)
+        _, want_traces, _ = composed_recover(tree, 1e-8, 1e-8)
+        assert len(result.pre_normalization_traces) == 2
+        assert result.pre_normalization_traces == pytest.approx(want_traces, rel=1e-12)
 
 
 class TestDeltaS:
