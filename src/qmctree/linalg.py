@@ -25,9 +25,14 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def is_hermitian(op: np.ndarray) -> bool:
+    """True when ``op``, or each matrix of a stack ``(..., n, n)``, is within
+    ``HERMITICITY_TOL * max(||op||, 1)`` of its adjoint in Frobenius norm."""
     op = np.asarray(op)
-    scale = max(frobenius(op), 1.0)
-    return frobenius(op - op.conj().T) <= HERMITICITY_TOL * scale
+    # one matrix keeps numpy's flattened norm, which is faster than axis=(-2, -1)
+    axes = (-2, -1) if op.ndim > 2 else None
+    scale = np.maximum(np.linalg.norm(op, axis=axes), 1.0)
+    skew = np.linalg.norm(op - np.swapaxes(op, -1, -2).conj(), axis=axes)
+    return bool((skew <= HERMITICITY_TOL * scale).all())
 
 
 @dataclass(frozen=True)

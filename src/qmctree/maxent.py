@@ -8,7 +8,6 @@ log prior for minimum-relative-entropy updating).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,34 +69,36 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Hermitian observables on a joint layout with expectation targets."""
+    """Hermitian observables on a joint layout with expectation targets, kept
+    as read-only (m, D, D) complex and (m,) float arrays.  A complex128
+    observables array is adopted without a copy, like DensityOperator.matrix."""
 
     layout: SubsystemLayout
-    observables: tuple
-    targets: tuple
-    keys: tuple = ()
+    observables: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        if len(self.observables) != len(self.targets):
+        d = self.layout.dim
+        obs = np.asarray(self.observables, dtype=complex)
+        if obs.size == 0:
+            obs = np.empty((0, d, d), dtype=complex)
+        if obs.ndim != 3 or obs.shape[1:] != (d, d):
+            raise MaxEntError(f"observable shape {obs.shape[1:]} does not match "
+                              f"the layout's {(d, d)}")
+        targets = np.array(self.targets, dtype=float)
+        if targets.shape != (len(obs),):
             raise MaxEntError("observables and targets differ in length")
-        for obs in self.observables:
-            if not is_hermitian(obs):
-                raise MatrixError("constraint observable is not Hermitian")
-        if any(not np.isfinite(t) for t in self.targets):
+        if not is_hermitian(obs):
+            raise MatrixError("constraint observable is not Hermitian")
+        if not np.all(np.isfinite(targets)):
             raise MaxEntError("targets must be finite")
+        obs.setflags(write=False)
+        targets.setflags(write=False)
+        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "targets", targets)
 
     def __len__(self):
         return len(self.observables)
-
-    def merged_with(self, other: "ConstraintSet") -> "ConstraintSet":
-        if other.layout.labels != self.layout.labels:
-            raise MaxEntError("cannot merge constraints on different layouts")
-        return _dedupe(
-            self.layout,
-            list(self.observables) + list(other.observables),
-            list(self.targets) + list(other.targets),
-            list(self.keys) + list(other.keys),
-        )
 
 
 def marginal_constraints(marginals: MarginalSet) -> ConstraintSet:
@@ -112,43 +113,37 @@ def marginal_constraints(marginals: MarginalSet) -> ConstraintSet:
 
 def expectation_constraints(layout: SubsystemLayout, marginals) -> ConstraintSet:
     """As marginal_constraints, but without requiring the marginals to
-    cover the layout (used for one-step sequential updates)."""
-    bases = {l: gell_mann_basis(layout.dim_of(l)) for l in set(layout.labels)}
-    observables, targets, keys = [], [], []
+    cover the layout (used for one-step sequential updates).
+
+    Each marginal's observables are one batched Kronecker product over the
+    layout's factors, in layout order: every basis element on the marginal's
+    factors, the identity elsewhere; each is keyed by its basis index on
+    every factor.  Targets use Tr(rho_e L) = Tr((rho_e (x) 1/d_rest) embed(L)).
+    """
+    bases = {d: np.array(gell_mann_basis(d)) for d in set(layout.dims)}
+    blocks = [np.empty((0, layout.dim, layout.dim), dtype=complex)]
+    targets, seen = [np.empty(0)], {}  # seen: basis indices -> target
     for marg in marginals:
         sub = marg.layout
-        ranges = [range(layout.dim_of(l) ** 2) for l in sub.labels]
-        for idx in itertools.product(*ranges):
-            if all(k == 0 for k in idx):
-                continue
-            local = bases[sub.labels[0]][idx[0]]
-            for label, k in zip(sub.labels[1:], idx[1:]):
-                local = np.kron(local, bases[label][k])
-            target = float(np.trace(marg.matrix @ local).real)
-            observables.append(embed(local, sub, layout))
-            targets.append(target)
-            keys.append(
-                frozenset((l, k) for l, k in zip(sub.labels, idx) if k != 0)
-            )
-    return _dedupe(layout, observables, targets, keys)
-
-
-def _dedupe(layout, observables, targets, keys):
-    seen = {}
-    obs_out, tgt_out, key_out = [], [], []
-    for obs, tgt, key in zip(observables, targets, keys):
-        if key in seen:
-            if abs(tgt - tgt_out[seen[key]]) > TARGET_TOL:
+        weight = embed(marg.matrix, sub, layout) / (layout.dim // sub.dim)
+        factors = [bases[d] if l in sub.labels else bases[d][:1]
+                   for l, d in zip(layout.labels, layout.dims)]
+        block = np.ones((1, 1, 1), dtype=complex)
+        for f in factors:
+            block = np.einsum("aij,bkl->abikjl", block, f).reshape(
+                len(block) * len(f), block.shape[1] * f.shape[1], -1)
+        values = np.einsum("kij,ji->k", block, weight).real
+        keys = list(np.ndindex(*(len(f) for f in factors)))
+        fresh = [row for row in range(1, len(keys)) if keys[row] not in seen]
+        for key, value in zip(keys[1:], values[1:]):  # row 0 is the identity
+            if abs(seen.setdefault(key, value) - value) > TARGET_TOL:
+                named = {l: k for l, k in zip(layout.labels, key) if k}
                 raise ConstraintConflictError(
-                    f"conflicting targets for shared observable {sorted(key)}: "
-                    f"{tgt_out[seen[key]]} vs {tgt}"
-                )
-            continue
-        seen[key] = len(obs_out)
-        obs_out.append(obs)
-        tgt_out.append(tgt)
-        key_out.append(key)
-    return ConstraintSet(layout, tuple(obs_out), tuple(tgt_out), tuple(key_out))
+                    f"conflicting targets for shared observable {named}: "
+                    f"{seen[key]} vs {value}")
+        blocks.append(block[fresh])
+        targets.append(values[fresh])
+    return ConstraintSet(layout, np.concatenate(blocks), np.concatenate(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +206,7 @@ def _hessian(thetas_tilde, w, ew, z):
 
 def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolution:
     """Damped-Newton minimization of the convex dual; start is lambda = 0."""
-    d = constraints.layout.dim
-    thetas = np.asarray(constraints.observables, dtype=complex).reshape(-1, d, d)
-    targets = np.asarray(constraints.targets, dtype=float)
+    thetas, targets = constraints.observables, constraints.targets
     lam = np.zeros(len(thetas))
 
     rho, log_z, w, v, ew, z = _gibbs(base, thetas, lam)
@@ -281,7 +274,7 @@ def bayesian_update(
     """Minimum-relative-entropy posterior for a full-rank prior."""
     if not prior.is_full_rank():
         raise MaxEntError("prior must be full rank for the log to be defined")
-    if prior.layout.labels != constraints.layout.labels:
+    if prior.layout != constraints.layout:
         raise MaxEntError("prior layout does not match the constraints")
     base = spectral_function(prior.eig, "log")
     return minimize_dual(base, constraints).state
@@ -327,7 +320,7 @@ def diagram_commutes(
     sigma2 = bayesian_update(sigma1, c_bc)
     varrho1 = bayesian_update(uniform, c_bc)
     varrho2 = bayesian_update(varrho1, c_ab)
-    joint = solve_maxent(c_ab.merged_with(c_bc)).state
+    joint = solve_maxent(expectation_constraints(layout, (rho_ab, rho_bc))).state
 
     d12 = trace_distance(sigma2.matrix, varrho2.matrix)
     d1j = trace_distance(sigma2.matrix, joint.matrix)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qmctree import HermitianEig, hermitian_eig, matrix_function, trace_distance
-from qmctree.linalg import MatrixError, frobenius, spectral_function
+from qmctree.linalg import (
+    HERMITICITY_TOL,
+    MatrixError,
+    frobenius,
+    is_hermitian,
+    spectral_function,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -36,6 +42,28 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(MatrixError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestIsHermitian:
+    def test_stack_true_when_every_matrix_passes(self, rng):
+        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        assert is_hermitian(stack)
+        stack[2, 0, 1] += 1e-3
+        assert not is_hermitian(stack)
+        assert is_hermitian(stack[[0, 1, 3]])
+
+    def test_stack_tolerance_is_per_matrix(self):
+        # the skew part of the second matrix is far above its own tolerance
+        # but below the first matrix's, so one shared scale would pass it
+        skew = np.zeros((2, 2), dtype=complex)
+        skew[0, 1] = 1e3 * HERMITICITY_TOL
+        stack = np.array([1e6 * PAULI_X, PAULI_Y + skew])
+        assert is_hermitian(stack[:1])
+        assert not is_hermitian(stack[1])
+        assert not is_hermitian(stack)
+
+    def test_empty_stack(self):
+        assert is_hermitian(np.empty((0, 4, 4), dtype=complex))
 
 
 class TestMatrixFunction:

@@ -1,10 +1,14 @@
 """Operator bases, constraint assembly, the dual solver, and updating."""
 
+import functools
+import itertools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qmctree import (
     DensityOperator,
@@ -23,9 +27,12 @@ from qmctree import (
     trace_distance,
     von_neumann_entropy,
 )
+from qmctree.layout import embed
+from qmctree.linalg import MatrixError
 from qmctree.maxent import (
     ConstraintConflictError,
     ConstraintSet,
+    MaxEntError,
     _dual_value,
     _gibbs,
     _gradient,
@@ -33,10 +40,61 @@ from qmctree.maxent import (
     expectation_constraints,
 )
 
-from conftest import classical_chain, random_conditional
+from conftest import PROPERTY, classical_chain, random_conditional
 
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 LAB = SubsystemLayout(("A", "B"), (2, 2))
+
+
+def reordered(state, labels):
+    """``state`` with its factors named in the order ``labels``."""
+    sub = SubsystemLayout(tuple(labels), tuple(state.layout.dim_of(l) for l in labels))
+    return DensityOperator(sub, embed(state.matrix, state.layout, sub))
+
+
+def basis_keys(layout, labels):
+    """Non-identity basis indices on ``labels``, in layout order, as
+    frozensets of (label, index) pairs."""
+    on = [l for l in layout.labels if l in labels]
+    ranges = [range(layout.dim_of(l) ** 2) for l in on]
+    keys = (frozenset((l, k) for l, k in zip(on, idx) if k)
+            for idx in itertools.product(*ranges))
+    return [key for key in keys if key]
+
+
+def reference_observables(layout, marginals):
+    """One observable at a time: the Kronecker product of each basis
+    element in the marginal's own label order, embedded into ``layout``;
+    the first occurrence of a shared observable is kept."""
+    seen, out = set(), []
+    for marg in marginals:
+        sub = marg.layout
+        for key in basis_keys(layout, sub.labels):
+            if key in seen:
+                continue
+            seen.add(key)
+            index = dict(key)
+            local = functools.reduce(np.kron, [
+                gell_mann_basis(d)[index.get(l, 0)] for l, d in zip(sub.labels, sub.dims)
+            ])
+            out.append(embed(local, sub, layout))
+    return out
+
+
+@st.composite
+def assembly_cases(draw):
+    """(layout, marginal label tuples, seed): two or three factors of
+    dimension 2 or 3 and one to three marginals, each naming its factors
+    in any order."""
+    n = draw(st.integers(2, 3))
+    dims = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    layout = SubsystemLayout(tuple("ABC"[:n]), tuple(dims))
+    subsets = [c for k in range(1, n + 1)
+               for c in itertools.combinations(layout.labels, k)]
+    count = draw(st.integers(1, 3))
+    labels = [tuple(draw(st.permutations(draw(st.sampled_from(subsets)))))
+              for _ in range(count)]
+    return layout, labels, draw(st.integers(0, 2**32 - 1))
 
 
 class TestGellMannBasis:
@@ -94,6 +152,60 @@ class TestConstraints:
         with pytest.raises(Exception):
             ConstraintSet(
                 LAB, (np.array([[0.0, 1.0], [0.0, 0.0]]),), (0.0,)
+            )
+
+    def test_non_hermitian_full_size_observable_rejected(self):
+        op = np.zeros((4, 4))
+        op[0, 1] = 1.0
+        with pytest.raises(MatrixError):
+            ConstraintSet(LAB, (np.eye(4), op), (1.0, 0.0))
+
+    def test_wrong_shape_observable_rejected(self):
+        with pytest.raises(MaxEntError, match=r"\(2, 2\).*\(4, 4\)"):
+            ConstraintSet(LAB, (np.eye(2),), (1.0,))
+
+    def test_stored_as_read_only_stacks(self, rng):
+        cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
+        assert cs.observables.shape == (15, 4, 4)
+        assert cs.targets.shape == (15,)
+        assert not cs.observables.flags.writeable
+        assert not cs.targets.flags.writeable
+        empty = ConstraintSet(LAB, (), ())
+        assert empty.observables.shape == (0, 4, 4)
+        assert empty.targets.shape == (0,)
+
+    @PROPERTY
+    @given(case=assembly_cases())
+    @example(case=(  # reversed and non-contiguous label orders
+        SubsystemLayout(("A", "B", "C"), (2, 3, 2)),
+        [("C", "A"), ("B", "A"), ("A", "C")], 7,
+    ))
+    def test_assembly_matches_per_observable_reference(self, case):
+        layout, labels, seed = case
+        joint = sample_density(layout, seed=seed)
+        marginals = [reordered(joint.marginal(l), l) for l in labels]
+        cs = expectation_constraints(layout, marginals)
+
+        key_sets = [set(basis_keys(layout, l)) for l in labels]
+        shared = sum(len(k & set().union(*key_sets[:i])) for i, k in enumerate(key_sets))
+        sizes = [math.prod(layout.dim_of(x) ** 2 for x in l) - 1 for l in labels]
+        assert len(cs) == sum(sizes) - shared
+
+        expected = reference_observables(layout, marginals)
+        np.testing.assert_allclose(cs.observables, np.array(expected), rtol=0, atol=1e-15)
+        traces = np.einsum("kij,ji->k", cs.observables, joint.matrix).real
+        np.testing.assert_allclose(cs.targets, traces, rtol=0, atol=1e-12)
+
+        # the first marginal against another state's marginal on the first
+        # drawn label set that overlaps it (its own, if no other does)
+        b = next(l for l in labels[1:] + labels[:1] if set(l) & set(labels[0]))
+        other = sample_density(layout, seed=seed + 1)
+        overlap = set(labels[0]) & set(b)
+        assert trace_distance(joint.marginal(overlap).matrix,
+                              other.marginal(overlap).matrix) > 1e-6
+        with pytest.raises(ConstraintConflictError):
+            expectation_constraints(
+                layout, [marginals[0], reordered(other.marginal(b), b)]
             )
 
 
@@ -272,6 +384,14 @@ class TestBayesianUpdate:
         via_update = bayesian_update(maximally_mixed(L3Q), cs)
         via_maxent = solve_maxent(cs).state
         assert trace_distance(via_update.matrix, via_maxent.matrix) < 1e-7
+
+    def test_prior_with_other_dims_rejected(self):
+        # same labels, but the factor dimensions are swapped
+        prior = sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=1)
+        layout = SubsystemLayout(("A", "B"), (3, 2))
+        cs = expectation_constraints(layout, (maximally_mixed(layout.restrict(("A",))),))
+        with pytest.raises(MaxEntError, match="prior layout"):
+            bayesian_update(prior, cs)
 
     def test_rank_deficient_prior_rejected(self):
         vec = np.zeros(4)

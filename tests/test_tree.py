@@ -378,7 +378,47 @@ class TestDeltaS:
         assert report.delta_s >= -1e-8
 
 
+def tree_margin(learned):
+    """Smallest amount by which a pair off the learned tree is lighter than
+    the lightest tree edge on the path between its ends; a positive margin
+    means the maximum-weight tree is unique."""
+    weight, edges = learned.weights.as_dict(), learned.tree.edges
+
+    def path(u, v, used):
+        if u == v:
+            return []
+        for e in edges:
+            if u in e and e not in used:
+                rest = path(e[e[0] == u], v, used | {e})
+                if rest is not None:
+                    return [e] + rest
+        return None
+
+    return min(min(weight[e] for e in path(a, b, frozenset())) - w
+               for (a, b), w in weight.items() if (a, b) not in edges)
+
+
 class TestLearnTree:
+    @pytest.mark.parametrize("edges,seed", [
+        ([("A", "B"), ("B", "C"), ("C", "D")], 1),
+        ([("A", "B"), ("B", "C"), ("B", "D")], 2),
+        ([("A", "C"), ("A", "D"), ("B", "D")], 3),
+    ])
+    @pytest.mark.parametrize("names", ["BCDA", "DCBA", "CADB"])
+    def test_relabelling_invariance(self, edges, seed, names):
+        state = sample_markov_tree(L4, edges, seed=seed)
+        learned = learn_tree(state)
+        assert tree_margin(learned) >= 1e-3  # TIE_TOL ties cannot decide
+        rename = dict(zip(L4.labels, names))
+        layout = SubsystemLayout(tuple(names), L4.dims)
+        relabelled = learn_tree(DensityOperator(layout, state.matrix.copy()))
+        weight = relabelled.weights.as_dict()
+        for (a, b), w in learned.weights.as_dict().items():
+            assert abs(weight[tuple(sorted((rename[a], rename[b])))] - w) <= 1e-12
+        assert set(relabelled.tree.edges) == {
+            tuple(sorted((rename[a], rename[b]))) for a, b in learned.tree.edges
+        }
+
     def test_classical_tree_recovered(self, rng):
         edges = [("A", "B"), ("B", "C"), ("B", "D")]
         state = classical_tree_state(L4, edges, rng)
