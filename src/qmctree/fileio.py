@@ -86,8 +86,12 @@ def operator_from_dict(data: dict) -> tuple[SubsystemLayout, np.ndarray]:
 
 
 def write_operator(path, layout: SubsystemLayout, matrix: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(operator_to_dict(layout, matrix)) + "\n")
+    text = json.dumps(operator_to_dict(layout, matrix)) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise FileFormatError(f"{path}: {err}") from err
 
 
 def read_operator(path) -> tuple[SubsystemLayout, np.ndarray]:

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DIM_CAP = 4096
+# entries per lru_cache of facts derived from layout values; a process
+# sees few distinct layouts
+LAYOUT_CACHE_SIZE = 256
 
 
 class LayoutError(ValueError):
@@ -23,7 +26,11 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered, labeled tensor factors with local dimensions."""
+    """Ordered, labeled tensor factors with local dimensions.
+
+    Equality, hash and repr are those of ``labels`` and ``dims``, so the
+    facts derived from a layout are computed once per layout value.
+    """
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
@@ -44,9 +51,9 @@ class SubsystemLayout:
                 f"total dimension {self.dim} exceeds cap {DEFAULT_DIM_CAP}"
             )
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
-        """Total Hilbert-space dimension."""
+        """Total Hilbert-space dimension (computed by ``__post_init__``)."""
         return math.prod(self.dims)
 
     @property
@@ -64,18 +71,20 @@ class SubsystemLayout:
 
     def restrict(self, keep) -> "SubsystemLayout":
         """Sub-layout on ``keep``, preserving this layout's label order."""
-        keep = set(keep)
-        unknown = keep - set(self.labels)
-        if unknown:
-            raise LayoutError(f"unknown labels {sorted(unknown)}")
-        pairs = [(l, d) for l, d in zip(self.labels, self.dims) if l in keep]
-        return SubsystemLayout(
-            tuple(l for l, _ in pairs), tuple(d for _, d in pairs)
-        )
+        return _restrict(self, frozenset(keep))
 
     def complement(self, labels) -> tuple[str, ...]:
         labels = set(labels)
         return tuple(l for l in self.labels if l not in labels)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _restrict(layout: SubsystemLayout, keep: frozenset) -> SubsystemLayout:
+    unknown = keep - set(layout.labels)
+    if unknown:
+        raise LayoutError(f"unknown labels {sorted(unknown)}")
+    pairs = [(l, d) for l, d in zip(layout.labels, layout.dims) if l in keep]
+    return SubsystemLayout(tuple(l for l, _ in pairs), tuple(d for _, d in pairs))
 
 
 def _check_square(op: np.ndarray, layout: SubsystemLayout):
@@ -104,7 +113,14 @@ def partial_trace(op: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
     follows the parent layout.
     """
     op = _check_square(op, layout)
-    keep = set(keep)
+    spec, kept_dim = _trace_plan(layout, frozenset(keep))
+    tensor = op.reshape(*layout.dims, *layout.dims)
+    return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _trace_plan(layout: SubsystemLayout, keep: frozenset) -> tuple[str, int]:
+    """einsum subscripts and kept dimension of ``partial_trace``."""
     if not keep:
         raise LayoutError("keep must be nonempty")
     keep_idx = sorted(layout.index(l) for l in keep)
@@ -120,10 +136,7 @@ def partial_trace(op: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
             col[j] = row[j]
     out = [row[j] for j in keep_idx] + [col[j] for j in keep_idx]
     spec = "".join(row) + "".join(col) + "->" + "".join(out)
-
-    tensor = op.reshape(*layout.dims, *layout.dims)
-    kept_dim = math.prod(layout.dims[j] for j in keep_idx)
-    return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
+    return spec, math.prod(layout.dims[j] for j in keep_idx)
 
 
 def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.ndarray:
@@ -148,7 +161,7 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
     return tensor.reshape(target.dim, target.dim)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _product_spec(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
                   target: SubsystemLayout) -> str:
     """einsum subscripts of ``local_product`` for one layout triple."""

@@ -37,10 +37,18 @@ def is_hermitian(op: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Ascending eigenvalues and a unitary matrix of eigenvectors."""
+    """Ascending eigenvalues and a unitary matrix of eigenvectors.
+
+    Construction rejects eigenvalues out of ascending order, so readers
+    take the extreme eigenvalues from the ends."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.eigenvalues)
+        if (w[1:] < w[:-1]).any():
+            raise MatrixError("eigenvalues are not in ascending order")
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -87,7 +95,7 @@ def spectral_function(
         return (v * np.exp(w)) @ v.conj().T
     if f not in _SUPPORT_FUNCTIONS:
         raise MatrixError(f"unknown matrix function {f!r}")
-    lo, hi = float(np.min(w)), float(np.max(w))
+    lo, hi = float(w[0]), float(w[-1])  # ascending
     if lo < -EIG_NEGATIVITY_TOL:
         raise MatrixError(
             f"{f} requires a positive-semidefinite input; "

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, local_product
+from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, local_product
 from .linalg import HermitianEig, frobenius, spectral_function, support_cutoff
 from .states import (
     DensityOperator,
@@ -40,23 +41,25 @@ def compose_layouts(
     rho_ab: DensityOperator, rho_bc: DensityOperator
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], SubsystemLayout]:
     """Split two overlapping marginals into (A, B, C) label groups."""
-    s1, s2 = set(rho_ab.labels), set(rho_bc.labels)
-    b = s1 & s2
+    return _compose(rho_ab.layout, rho_bc.layout)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _compose(ab: SubsystemLayout, bc: SubsystemLayout):
+    """``compose_layouts`` of marginals on the layouts ``ab`` and ``bc``."""
+    b = set(ab.labels) & set(bc.labels)
     if not b:
         raise LayoutError("marginals share no label")
-    a = tuple(l for l in rho_ab.labels if l not in b)
-    c = tuple(l for l in rho_bc.labels if l not in b)
+    a = tuple(l for l in ab.labels if l not in b)
+    c = tuple(l for l in bc.labels if l not in b)
     if not a or not c:
         raise LayoutError("one marginal is contained in the other")
-    b = tuple(l for l in rho_ab.labels if l in b)
+    b = tuple(l for l in ab.labels if l in b)
     for label in b:
-        if rho_ab.layout.dim_of(label) != rho_bc.layout.dim_of(label):
+        if ab.dim_of(label) != bc.dim_of(label):
             raise LayoutError(f"dimension mismatch on shared label {label!r}")
     labels = a + b + c
-    dims = tuple(
-        rho_ab.layout.dim_of(l) if l in rho_ab.labels else rho_bc.layout.dim_of(l)
-        for l in labels
-    )
+    dims = tuple(ab.dim_of(l) if l in ab.labels else bc.dim_of(l) for l in labels)
     return a, b, c, SubsystemLayout(labels, dims)
 
 

@@ -75,8 +75,8 @@ class DensityOperator:
             raise StateError("matrix is not Hermitian within tolerance")
         if w is None:
             w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if np.min(w) < -floor:
-            raise StateError(f"negative eigenvalue {np.min(w):.3e}")
+        if w[0] < -floor:  # eigvalsh and HermitianEig spectra ascend
+            raise StateError(f"negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace is {tr}, expected 1")
@@ -107,7 +107,7 @@ class DensityOperator:
             # lambda_min(Tr_C rho) >= d_C lambda_min(rho), so the floor
             # scales with the traced-out dimension d_C
             floor = self.layout.dim // layout.dim * max(
-                NEGATIVITY_TOL, -float(np.min(self._spectrum)))
+                NEGATIVITY_TOL, -float(self._spectrum[0]))
             reduced = partial_trace(self.matrix, self.layout, keep)
             self._marginals[keep] = self._checked(layout, reduced, floor=floor)
         return self._marginals[keep]
@@ -118,7 +118,7 @@ class DensityOperator:
 
     def is_full_rank(self) -> bool:
         w = self._spectrum
-        return bool(np.min(w) > support_cutoff(w))
+        return bool(w[0] > support_cutoff(w))
 
 
 def _freeze(*arrays):
@@ -306,8 +306,9 @@ class QmcSpec:
         if self.dim_a < 1 or self.dim_c < 1 or not self.blocks:
             raise StateError("dims must be >= 1 and blocks nonempty")
         probs = [p for p, _, _ in self.blocks]
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise StateError("block probabilities must be >= 0 and sum to 1")
+        if (not all(math.isfinite(p) and p >= 0 for p in probs)
+                or abs(sum(probs) - 1.0) > 1e-12):
+            raise StateError("block probabilities must be finite, >= 0 and sum to 1")
         if any(dl < 1 or dr < 1 for _, dl, dr in self.blocks):
             raise StateError("block dimensions must be >= 1")
         if self.basis_rotation is not None:

@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qmctree import (
     DensityOperator,
@@ -18,12 +21,16 @@ from qmctree import (
 from qmctree.cli import build_parser, main
 from qmctree.fileio import (
     FileFormatError,
+    operator_from_dict,
+    operator_to_dict,
     read_density,
     read_operator,
     write_density,
     write_operator,
 )
 from qmctree.recovery import DEFAULT_EPS_MARGINAL, DEFAULT_EPS_NORMALITY
+
+from conftest import PROPERTY, layouts
 
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 
@@ -68,6 +75,35 @@ class TestFileIO:
         _, back = read_operator(path)
         loop = np.array([[complex(re, im) for re, im in row] for row in rows])
         assert back.tobytes() == loop.tobytes()
+
+    # signed zeros, the smallest subnormal, the largest subnormal and the
+    # largest finite doubles, next to arbitrary finite values
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308]
+
+    @PROPERTY
+    @given(data=st.data(), layout=layouts(max_factors=3))
+    def test_dict_json_roundtrip_bit_exact(self, data, layout):
+        parts = st.sampled_from(self.EDGE_FLOATS) | st.floats(
+            allow_nan=False, allow_infinity=False)
+        pair = data.draw(hnp.arrays(np.float64, (layout.dim, layout.dim, 2),
+                                    elements=parts))
+        matrix = pair.view(complex)[..., 0]
+        text = json.dumps(operator_to_dict(layout, matrix))
+        back_layout, back = operator_from_dict(json.loads(text))
+        assert back_layout == layout
+        np.testing.assert_array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+    @PROPERTY
+    @given(layout=layouts(), seed=st.integers(0, 2**32 - 1))
+    def test_density_file_roundtrip_bit_exact(self, tmp_path_factory, layout, seed):
+        state = sample_density(layout, seed=seed)
+        path = tmp_path_factory.mktemp("roundtrip") / "state.json"
+        write_density(path, state)
+        back = read_density(path)
+        assert back.layout == layout
+        np.testing.assert_array_equal(
+            back.matrix.view(np.uint64), state.matrix.view(np.uint64))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -440,6 +476,42 @@ class TestSample:
             "sample", "--kind", "qmc", "--blocks", "oops",
             "-o", str(tmp_path / "x.json"),
         ]) == 2
+
+    def test_nan_probability_exit_two_without_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "sample", "--kind", "qmc", "--blocks", "nan:1:2",
+                "-o", str(tmp_path / "x.json"),
+            ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+
+class TestUnwritableOutput:
+    """A write to a path that cannot be opened exits 2 with one error line."""
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = main(["sample", "--kind", "qmc", "--blocks", "1:1:2", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert str(out) in self.run(capsys, "-o", str(out))
+
+    def test_directory_path(self, tmp_path, capsys):
+        assert str(tmp_path) in self.run(capsys, "-o", str(tmp_path))
+
+    def test_marginal_into_directory(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        (tmp_path / "x.json.AB.json").mkdir()
+        self.run(capsys, "-o", str(out), "--marginal", "A,B")
+        assert read_density(out).layout.labels == ("A", "B", "C")
 
 
 class TestToleranceFlags:

@@ -1,12 +1,15 @@
 """Layout algebra: partial trace, identity embedding and local products."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qmctree import SubsystemLayout, embed, partial_trace
+from qmctree import SubsystemLayout, embed, maximally_mixed, partial_trace
 from qmctree.layout import LayoutError, local_product, union_find
+from qmctree.recovery import compose_layouts
 
 from conftest import PROPERTY, layouts, local_cases
 
@@ -222,3 +225,78 @@ class TestEinsumLetterLimit:
         # one shared factor needs a 53rd letter
         with pytest.raises(LayoutError, match="too many factors"):
             local_product(np.eye(1), many, np.eye(1), half, many)
+
+
+def twin(layout):
+    """A new layout object equal to ``layout``."""
+    return SubsystemLayout(tuple(layout.labels), tuple(layout.dims))
+
+
+def mixed(labels, dims):
+    return maximally_mixed(SubsystemLayout(tuple(labels), tuple(dims)))
+
+
+class TestLayoutFactsOnce:
+    """Facts derived from a layout are cached per layout value: a repeated
+    call and a call on an equal new layout object agree, and every error
+    is raised again on every call."""
+
+    def test_value_semantics_pinned(self):
+        layout = SubsystemLayout(["A", "B"], [2, 3])
+        assert layout == SubsystemLayout(("A", "B"), (2, 3))
+        assert layout != SubsystemLayout(("B", "A"), (3, 2))
+        assert hash(layout) == hash((("A", "B"), (2, 3)))
+        assert repr(layout) == "SubsystemLayout(labels=('A', 'B'), dims=(2, 3))"
+        assert [f.name for f in dataclasses.fields(layout)] == ["labels", "dims"]
+        assert layout.dim == 6
+
+    @PROPERTY
+    @given(layout=layouts(), data=st.data())
+    def test_restrict_and_partial_trace_repeat(self, layout, data):
+        keep = data.draw(st.lists(st.sampled_from(layout.labels), min_size=1, unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        op = random_density(rng, layout.dim)
+        sub = layout.restrict(keep)
+        assert sub.labels == tuple(l for l in layout.labels if l in keep)
+        assert layout.restrict(keep) == sub == twin(layout).restrict(keep)
+        first = partial_trace(op, layout, keep)
+        assert first.shape == (sub.dim, sub.dim)
+        np.testing.assert_array_equal(partial_trace(op, layout, keep), first)
+        np.testing.assert_array_equal(partial_trace(op, twin(layout), keep), first)
+
+    @PROPERTY
+    @given(layout=layouts(), data=st.data())
+    def test_compose_layouts_repeat(self, layout, data):
+        assume(layout.n >= 3)
+        order = data.draw(st.permutations(layout.labels))
+        i = data.draw(st.integers(1, layout.n - 2))
+        j = data.draw(st.integers(i + 1, layout.n - 1))
+        ab = layout.restrict(order[:j])
+        bc = layout.restrict(order[i:])
+        first = compose_layouts(maximally_mixed(ab), maximally_mixed(bc))
+        a, b, c, joint = first
+        assert set(a) == set(order[:i]) and set(c) == set(order[j:])
+        assert b == tuple(l for l in ab.labels if l in order[i:j])
+        assert joint.labels == a + b + c
+        assert joint.dims == tuple(layout.dim_of(l) for l in joint.labels)
+        assert compose_layouts(maximally_mixed(ab), maximally_mixed(bc)) == first
+        assert compose_layouts(
+            maximally_mixed(twin(ab)), maximally_mixed(twin(bc))) == first
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: partial_trace(np.eye(8), L_ABC, ()), "keep must be nonempty"),
+        (lambda: partial_trace(np.eye(8), L_ABC, ("A", "Z")), "unknown label 'Z'"),
+        (lambda: L_ABC.restrict(("A", "Z")), r"unknown labels \['Z'\]"),
+        (lambda: partial_trace(np.eye(1), TestEinsumLetterLimit.unit_factors(27),
+                               ("q0",)), "too many factors"),
+        (lambda: compose_layouts(mixed("AB", (2, 2)), mixed("BC", (3, 2))),
+         "dimension mismatch on shared label 'B'"),
+        (lambda: compose_layouts(mixed("AB", (2, 2)), mixed("B", (2,))),
+         "one marginal is contained in the other"),
+        (lambda: compose_layouts(mixed("AB", (2, 2)), mixed("CD", (2, 2))),
+         "marginals share no label"),
+    ])
+    def test_errors_raise_on_every_call(self, call, message):
+        for _ in range(2):
+            with pytest.raises(LayoutError, match=message):
+                call()

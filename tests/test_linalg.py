@@ -39,6 +39,15 @@ class TestHermitianEig:
         w = hermitian_eig(random_hermitian(rng, 8)).eigenvalues
         assert np.all(np.diff(w) >= 0)
 
+    @pytest.mark.parametrize("w", [[0.6, 0.3, 0.1], [0.1, 0.6, 0.3]])
+    def test_rejects_eigenvalues_out_of_order(self, w):
+        with pytest.raises(MatrixError, match="ascending"):
+            HermitianEig(np.array(w), np.eye(3, dtype=complex))
+
+    def test_accepts_repeated_eigenvalues(self):
+        w = np.array([-1e-17, 0.0, 0.0, 1.0])
+        assert HermitianEig(w, np.eye(4, dtype=complex)).eigenvalues is w
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(MatrixError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

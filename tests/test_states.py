@@ -280,6 +280,11 @@ class TestSampleQmc:
         with pytest.raises(StateError):
             QmcSpec(0, 2, ((1.0, 1, 1),))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, p):
+        with pytest.raises(StateError, match="finite"):
+            QmcSpec(2, 2, ((p, 1, 2),))
+
     def test_invariants_sweep(self):
         rng = np.random.default_rng(3)
         for i in range(25):
