@@ -9,12 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, local_product
-from .linalg import HermitianEig, frobenius, spectral_function, support_cutoff
+from .linalg import SUPPORT_CUTOFF_FACTOR, HermitianEig, frobenius, spectral_function
 from .states import (
     DensityOperator,
     conditional_mutual_information,
     mutual_information,
     overlap_distance,
+    overlap_violation,
     pairwise_marginals,
     von_neumann_entropy,
 )
@@ -89,8 +90,8 @@ def petz_recover(
             raise LayoutError("target layout labels do not match the marginals")
         layout = target
     if eps_m < math.inf:  # an infinite tolerance accepts any residual
-        residual = overlap_distance(rho_ab, rho_bc, b)
-        if residual > eps_m:
+        residual = overlap_violation(rho_ab, rho_bc, b, eps_m)
+        if residual is not None:
             raise RecoveryError(
                 f"marginals disagree on {b}: trace distance {residual:.3e} "
                 f"> {eps_m:.1e}"
@@ -123,12 +124,23 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b) -> RecoveryResult:
 
 def _bc_factor(rho_bc: DensityOperator, b, z) -> np.ndarray:
     """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``, with
-    rho_B its stored marginal on the shared labels ``b``."""
+    rho_B its stored marginal on the shared labels ``b``.
+
+    The z = 1/2 factor, shared by the normality test and the t = 0 Petz
+    map, is kept read-only on ``rho_bc`` per label set; other z are not.
+    """
+    key = frozenset(b)
+    if z == 0.5 and key in rho_bc._bc_factors:
+        return rho_bc._bc_factors[key]
     rho_b = rho_bc.marginal(b)
-    return local_product(
+    x = local_product(
         spectral_function(rho_bc.eig, "power", z), rho_bc.layout,
         spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout,
     )
+    if z == 0.5:
+        x.setflags(write=False)
+        rho_bc._bc_factors[key] = x
+    return x
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,7 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
     y = _bc_factor(rho_bc, b, 0.5)
     theta = local_product(y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"),
                           rho_ab.layout, target or layout)
-    scale = max(frobenius(theta) ** 2, support_cutoff(np.array([1.0])))
+    scale = max(frobenius(theta) ** 2, SUPPORT_CUTOFF_FACTOR)
     tt = theta @ theta.conj().T
     norm_res = frobenius(tt - theta.conj().T @ theta) / scale
     sa_res = frobenius(theta - theta.conj().T) / max(frobenius(theta), 1e-300)
@@ -311,8 +323,8 @@ def relative_entropy_gap(
 ) -> RelativeEntropyGap:
     x, y, z = chain
     for pair in chain_pairs(chain):
-        dist = overlap_distance(rho_true, estimator, pair)
-        if dist > ESTIMATOR_MARGINAL_TOL:
+        dist = overlap_violation(rho_true, estimator, pair, ESTIMATOR_MARGINAL_TOL)
+        if dist is not None:
             raise RecoveryError(
                 f"estimator violates the {pair} marginal by {dist:.3e}"
             )

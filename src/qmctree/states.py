@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +23,9 @@ from .linalg import (
 TRACE_TOL = 1e-9
 NEGATIVITY_TOL = 1e-10
 OVERLAP_TOL = 1e-8
+# relative margin on the overlap gates' Frobenius bound: far above the few
+# units in the last place by which a computed trace distance can exceed it
+_BOUND_MARGIN = 1 + 1e-9
 
 
 class StateError(ValueError):
@@ -32,9 +36,12 @@ class StateError(ValueError):
 class DensityOperator:
     """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
 
-    The spectrum computed for validation is kept (read-only) and serves
-    every eigenvalue query; ``eig`` decomposes the matrix at most once,
-    and ``marginal`` builds each reduced state at most once.
+    A state keeps, each formed at most once and read-only: the spectrum
+    computed for validation, which serves every eigenvalue query; one
+    eigendecomposition, ``eig``; the reduced state on each label set
+    (``marginal``); and, per shared label set B, the t = 0 Petz factor
+    rho^1/2 (rho_B^-1/2 (x) 1) that the normality test also uses when it
+    reads this state as rho_BC (``recovery._bc_factor``).
     A complex128 ``matrix`` is adopted without a copy and made read-only,
     so pass a copy to keep your own array writable; other dtypes are
     converted into a new array.
@@ -48,8 +55,9 @@ class DensityOperator:
 
     @classmethod
     def _checked(cls, layout, m, w=None, floor=NEGATIVITY_TOL) -> "DensityOperator":
-        """``cls(layout, m)``, checked on the spectrum ``w`` when it is known
-        and with negative eigenvalues down to ``-floor`` allowed."""
+        """``cls(layout, m)`` with negative eigenvalues down to ``-floor``
+        allowed.  A known spectrum ``w`` means ``m`` is Hermitian by
+        construction: its Hermiticity is not tested again."""
         state = object.__new__(cls)
         object.__setattr__(state, "layout", layout)
         state._validate(m, w, floor)
@@ -71,9 +79,9 @@ class DensityOperator:
             raise StateError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
-        if not is_hermitian(m):
-            raise StateError("matrix is not Hermitian within tolerance")
         if w is None:
+            if not is_hermitian(m):
+                raise StateError("matrix is not Hermitian within tolerance")
             w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if w[0] < -floor:  # eigvalsh and HermitianEig spectra ascend
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
@@ -84,6 +92,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", w)
         object.__setattr__(self, "_marginals", {})  # label set -> reduced state
+        object.__setattr__(self, "_bc_factors", {})  # label set -> t = 0 BC factor
 
     @cached_property
     def eig(self) -> HermitianEig:
@@ -138,6 +147,22 @@ def overlap_distance(a: DensityOperator, b: DensityOperator, shared) -> float:
     return trace_distance(a.marginal(shared).matrix, b.marginal(shared).matrix)
 
 
+def overlap_violation(a: DensityOperator, b: DensityOperator, shared,
+                      tol: float) -> float | None:
+    """``overlap_distance(a, b, shared)`` when it exceeds ``tol``, else None.
+
+    For the difference X of the two d x d reductions, Cauchy-Schwarz on
+    its eigenvalues gives 1/2 ||X||_1 <= 1/2 sqrt(d) ||X||_F.  A pair whose
+    bound is within ``tol`` is accepted without an eigenvalue solve; only
+    a pair whose bound fails pays for the exact distance, which decides.
+    """
+    ma, mb = a.marginal(shared).matrix, b.marginal(shared).matrix
+    if 0.5 * math.sqrt(len(ma)) * frobenius(ma - mb) * _BOUND_MARGIN <= tol:
+        return None
+    dist = trace_distance(ma, mb)
+    return dist if dist > tol else None
+
+
 def maximally_mixed(layout: SubsystemLayout) -> DensityOperator:
     d = layout.dim
     return DensityOperator(layout, np.eye(d, dtype=complex) / d)
@@ -177,8 +202,8 @@ class MarginalSet:
                 shared = set(a.labels) & set(b.labels)
                 if not shared:
                     continue
-                dist = overlap_distance(a, b, shared)
-                if dist > self.overlap_tol:
+                dist = overlap_violation(a, b, shared, self.overlap_tol)
+                if dist is not None:
                     raise StateError(
                         f"marginals on {a.labels} and {b.labels} disagree on "
                         f"{sorted(shared)}: trace distance {dist:.3e}"
@@ -298,11 +323,13 @@ class QmcSpec:
     basis_rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple((float(p), int(dl), int(dr)) for p, dl, dr in self.blocks),
-        )
+        object.__setattr__(self, "dim_a", _dimension(self.dim_a, "dim_a"))
+        object.__setattr__(self, "dim_c", _dimension(self.dim_c, "dim_c"))
+        object.__setattr__(self, "blocks", tuple(
+            (float(p), _dimension(dl, "block dimension"),
+             _dimension(dr, "block dimension"))
+            for p, dl, dr in self.blocks
+        ))
         if self.dim_a < 1 or self.dim_c < 1 or not self.blocks:
             raise StateError("dims must be >= 1 and blocks nonempty")
         probs = [p for p, _, _ in self.blocks]
@@ -325,6 +352,14 @@ class QmcSpec:
     @property
     def dim_b(self) -> int:
         return sum(dl * dr for _, dl, dr in self.blocks)
+
+
+def _dimension(value, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers raise StateError."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise StateError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_qmc(

@@ -18,7 +18,7 @@ from .states import (
     OVERLAP_TOL,
     DensityOperator,
     mutual_information,
-    overlap_distance,
+    overlap_violation,
     pairwise_marginals,
     relative_entropy,
     von_neumann_entropy,
@@ -74,8 +74,8 @@ class QuantumTree:
             incident = [e for e in edges if v in e]
             ref = marginals[incident[0]].marginal((v,))
             for e in incident[1:]:
-                dist = overlap_distance(ref, marginals[e], (v,))
-                if dist > OVERLAP_TOL:
+                dist = overlap_violation(ref, marginals[e], (v,), OVERLAP_TOL)
+                if dist is not None:
                     raise TreeError(
                         f"edges {incident[0]} and {e} disagree on vertex {v!r}: "
                         f"trace distance {dist:.3e}"
@@ -220,8 +220,8 @@ def delta_s(
     if set(estimator.labels) != set(tree.layout.labels):
         raise LayoutError("estimator labels do not match the tree")
     for edge, marg in tree.edge_marginals.items():
-        dist = overlap_distance(estimator, marg, edge)
-        if dist > ESTIMATOR_MARGINAL_TOL:
+        dist = overlap_violation(estimator, marg, edge, ESTIMATOR_MARGINAL_TOL)
+        if dist is not None:
             raise TreeError(
                 f"estimator violates the {edge} marginal by {dist:.3e}"
             )

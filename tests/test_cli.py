@@ -1,5 +1,7 @@
 """Operator files and the command-line surface."""
 
+import contextlib
+import io
 import json
 import warnings
 
@@ -575,3 +577,91 @@ class TestMalformedOperatorFiles:
         with open(ab, "w") as fh:
             json.dump(data, fh)
         assert self.run(capsys, ["check", ab, bc]) == 2
+
+
+# keys of operator and tree files, so arbitrary objects often hit a real field
+FILE_KEYS = ("labels", "dims", "matrix", "edges", "marginals")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats()
+    | st.text("ABCX,.json", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FILE_KEYS) | st.text("ABX,", max_size=3),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_text(draw, valid: dict) -> str:
+    """A valid file object, truncated or with one field replaced, dropped or
+    changed in one entry."""
+    data = json.loads(json.dumps(valid))
+    kind = draw(st.sampled_from(("truncate", "replace", "drop", "entry", "layout")))
+    if kind == "truncate":
+        text = json.dumps(data)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    key = draw(st.sampled_from(sorted(data)))
+    if kind == "replace":
+        data[key] = draw(JSON_VALUES)
+    elif kind == "drop":
+        del data[key]
+    elif kind == "layout":
+        n = draw(st.integers(0, 4))
+        data["labels"] = draw(st.lists(st.sampled_from("ABCX"), min_size=n, max_size=n))
+        data["dims"] = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    elif isinstance(data[key], list) and data[key]:
+        # one entry of a list field; matrix entries go down to one number
+        target = data[key]
+        while True:
+            i = draw(st.integers(0, len(target) - 1))
+            if not isinstance(target[i], list) or not target[i] or draw(st.booleans()):
+                break
+            target = target[i]
+        target[i] = draw(JSON_VALUES | st.sampled_from(
+            [float("nan"), float("inf"), 1e308, -1e-300, 1.0, "A"]))
+    elif isinstance(data[key], dict) and data[key]:
+        ref = draw(st.sampled_from(sorted(data[key])))
+        value = data[key].pop(ref)
+        new_key = draw(st.sampled_from([ref, "A,B,C", "B,A", "A,X", ""]))
+        data[key][new_key] = draw(st.just(value) | JSON_VALUES)
+    return json.dumps(data)
+
+
+class TestFuzzedFiles:
+    """Arbitrary JSON values and mutated or truncated valid operator and tree
+    files: ``check``, ``recover`` and ``tree --tree-file`` exit 0, 1 or 2
+    and never raise."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """The fixed file paths an example writes, and the valid objects."""
+        d = tmp_path_factory.mktemp("fuzz")
+        paths = {name: str(d / f"{name}.json") for name in ("f", "g", "t", "out")}
+        state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=108)
+        ab, bc = (operator_to_dict(m.layout, m.matrix)
+                  for m in (state.marginal(("A", "B")), state.marginal(("B", "C"))))
+        tree = {"labels": ["A", "B", "C"], "dims": [2, 2, 2],
+                "edges": [["A", "B"], ["B", "C"]],
+                "marginals": {"A,B": paths["f"], "B,C": paths["g"]}}
+        return paths, {"f": ab, "g": bc, "t": tree}
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_exit_code_contract(self, valid, data):
+        paths, objects = valid
+        for name, obj in objects.items():
+            if data.draw(st.booleans(), label=f"break {name}"):
+                text = data.draw(mutated_text(obj) | JSON_VALUES.map(json.dumps))
+            else:
+                text = json.dumps(obj)
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        f, g, t, out = paths["f"], paths["g"], paths["t"], paths["out"]
+        argv = data.draw(st.sampled_from((
+            ["check", f, g], ["recover", f, g, "-o", out], ["tree", "--tree-file", t])))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")

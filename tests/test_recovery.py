@@ -122,6 +122,19 @@ class TestPetzRecover:
         with pytest.raises(RecoveryError):
             petz_recover(ab, bc)
 
+    def test_overlap_gate_raises_exactly_above_eps_m(self):
+        # rho_BC mixed with a product state moves its B marginal off rho_AB's
+        _, ab, bc = qmc_pair(seed=41)
+        other = sample_density(bc.layout, seed=42).matrix
+        bc = DensityOperator(bc.layout, 0.999 * bc.matrix + 0.001 * other)
+        dist = trace_distance(ab.marginal(("B",)).matrix, bc.marginal(("B",)).matrix)
+        for eps_m in (dist / 10, dist * (1 - 1e-9), np.nextafter(dist, 0.0)):
+            with pytest.raises(RecoveryError, match=f"trace distance {dist:.3e} "):
+                petz_recover(ab, bc, eps_m=eps_m)
+        for eps_m in (dist, dist * (1 + 1e-9), dist * 10):
+            petz_recover(ab, bc, eps_m=eps_m)
+            petz_recover(ab, bc, t=0.3, eps_m=eps_m)
+
     def test_lemma_identity_log_decomposition(self):
         # log rho_ABC = log rho_AB + log rho_BC - log rho_B for a recovered
         # full-rank Markov state (checked as an operator identity)

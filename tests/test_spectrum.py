@@ -233,6 +233,74 @@ class TestSpectrumKept:
             DensityOperator._from_eig(layout, eig)
 
 
+class TestPairFactsOnce:
+    """A compatibility check and Petz recovery of one pair form each of
+    their shared facts once."""
+
+    @pytest.fixture
+    def spectral_calls(self, monkeypatch):
+        seen = []
+        real = recovery.spectral_function
+
+        def counted(eig, f, z=None):
+            seen.append(f)
+            return real(eig, f, z)
+
+        monkeypatch.setattr(recovery, "spectral_function", counted)
+        return seen
+
+    def test_check_and_t0_share_the_bc_factor(self, spectral_calls):
+        # check: rho_BC^1/2, rho_B^-1/2 and rho_AB^1/2; t = 0: none; t != 0:
+        # its own two powers
+        _, rho_ab, rho_bc = fresh_qmc_pair(seed=31)
+        assert check_qmc_compatibility(rho_ab, rho_bc).verdict
+        petz_recover(rho_ab, rho_bc)
+        petz_recover(rho_ab, rho_bc, t=0.7)
+        assert spectral_calls == ["power", "power", "sqrt", "power", "power"]
+
+    def test_t0_recovery_first_forms_the_factor_check_reuses(self, spectral_calls):
+        _, rho_ab, rho_bc = fresh_qmc_pair(seed=32)
+        petz_recover(rho_ab, rho_bc)
+        check_qmc_compatibility(rho_ab, rho_bc)
+        assert spectral_calls == ["power", "power", "sqrt"]
+
+    def test_kept_factor_read_only_and_only_at_t0(self):
+        _, rho_ab, rho_bc = fresh_qmc_pair(seed=33)
+        petz_recover(rho_ab, rho_bc, t=0.7)
+        assert rho_bc._bc_factors == {}
+        plain = petz_recover(rho_ab, rho_bc)
+        kept = rho_bc._bc_factors[frozenset({"B"})]
+        assert list(rho_bc._bc_factors) == [frozenset({"B"})]
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1.0
+        petz_recover(rho_ab, rho_bc, t=-1.3)
+        assert list(rho_bc._bc_factors) == [frozenset({"B"})]
+        assert recovery._bc_factor(rho_bc, ("B",), 0.5) is kept
+        np.testing.assert_array_equal(
+            petz_recover(rho_ab, rho_bc).state.matrix, plain.state.matrix)
+
+    def test_petz_output_not_retested_for_hermiticity(self, monkeypatch):
+        # X rho X^dagger is Hermitian by construction; with every marginal
+        # already kept, recovery makes no Hermiticity test at all
+        _, rho_ab, rho_bc = fresh_qmc_pair(seed=34)
+        petz_recover(rho_ab, rho_bc)
+        calls = []
+        monkeypatch.setattr(states, "is_hermitian",
+                            lambda op: calls.append(op.shape) or True)
+        petz_recover(rho_ab, rho_bc)
+        petz_recover(rho_ab, rho_bc, t=0.7)
+        assert calls == []
+
+
+def fresh_qmc_pair(seed):
+    """A Markov joint and its AB and BC marginals as new states, with no
+    reduced state or factor kept yet."""
+    joint = sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=seed)
+    ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+    return (joint, DensityOperator(ab.layout, ab.matrix.copy()),
+            DensityOperator(bc.layout, bc.matrix.copy()))
+
+
 class TestRelativeEntropyOracle:
     def test_full_rank(self, rng):
         layout = SubsystemLayout(("A", "B"), (2, 3))

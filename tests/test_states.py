@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmctree import (
     DensityOperator,
@@ -22,9 +24,10 @@ from qmctree import (
     trace_distance,
     von_neumann_entropy,
 )
-from qmctree.states import StateError
+from qmctree.fileio import FileFormatError, read_density, write_operator
+from qmctree.states import StateError, overlap_violation
 
-from conftest import bell_state, classical_chain, ghz_state, random_conditional
+from conftest import PROPERTY, bell_state, classical_chain, ghz_state, random_conditional
 
 L2 = SubsystemLayout(("A",), (2,))
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
@@ -34,6 +37,17 @@ class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(StateError):
             DensityOperator(L2, np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_rejects_non_hermitian_with_valid_hermitian_part(self, tmp_path):
+        # the Hermitian part is I/2, a valid state: only the Hermiticity
+        # test can refuse it, in the constructor and in the file reader
+        m = np.array([[0.5, 1e-6], [-1e-6, 0.5]], dtype=complex)
+        with pytest.raises(StateError, match="Hermitian"):
+            DensityOperator(L2, m)
+        path = tmp_path / "skew.json"
+        write_operator(path, L2, m)
+        with pytest.raises(FileFormatError, match="Hermitian"):
+            read_density(path)
 
     def test_rejects_negative(self):
         with pytest.raises(StateError):
@@ -100,6 +114,57 @@ class TestMarginalSet:
         bc = sample_density(SubsystemLayout(("B", "C"), (2, 2)), seed=2)
         with pytest.raises(StateError):
             MarginalSet(L3Q, (ab, bc))
+
+
+def _traceless_direction(rng, d: int, tight: bool) -> np.ndarray:
+    """A traceless Hermitian d x d matrix of spectral norm 1; ``tight`` gives
+    eigenvalues +-1 in equal numbers (d even), where 1/2 ||X||_1 equals the
+    Frobenius bound 1/2 sqrt(d) ||X||_F."""
+    if tight:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        x = (q * np.repeat([1.0, -1.0], d // 2)) @ q.conj().T
+    else:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = g + g.conj().T
+        x -= np.trace(x).real / d * np.eye(d)
+    return (x + x.conj().T) / 2 / np.max(np.abs(np.linalg.eigvalsh(x)))
+
+
+class TestOverlapGate:
+    """``overlap_violation`` decides from a Frobenius bound first; its
+    decision is always that of the exact trace distance."""
+
+    @PROPERTY
+    @given(d=st.integers(1, 6), tight=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           tol=st.floats(1e-12, 1e-3), offset=st.sampled_from([-1e-9, 0.0, 1e-9]))
+    def test_same_decision_as_trace_distance(self, d, tight, seed, tol, offset):
+        rng = np.random.default_rng(seed)
+        layout = SubsystemLayout(("B",), (d,))
+        tight = tight and d % 2 == 0
+        base = sample_density(layout, seed=rng).matrix
+        a = DensityOperator(layout, (base + np.eye(d) / d) / 2)  # lambda_min >= 1/2d
+        if d == 1:
+            b = a
+        else:
+            x = _traceless_direction(rng, d, tight)
+            # scaled so the trace distance sits just below, at or just above tol
+            scale = tol / (0.5 * np.sum(np.abs(np.linalg.eigvalsh(x)))) * (1 + offset)
+            b = DensityOperator(layout, a.matrix + scale * x)
+        exact = trace_distance(a.matrix, b.matrix)
+        # the tolerance itself, and the doubles next to the exact distance
+        for t in (tol, exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)):
+            found = overlap_violation(a, b, ("B",), t)
+            assert (found is None) == (exact <= t)
+            assert found is None or found == exact
+
+    def test_marginal_set_reports_exact_distance(self, rng):
+        ab = sample_density(SubsystemLayout(("A", "B"), (2, 2)), seed=1)
+        bc = sample_density(SubsystemLayout(("B", "C"), (2, 2)), seed=2)
+        dist = trace_distance(ab.marginal(("B",)).matrix, bc.marginal(("B",)).matrix)
+        with pytest.raises(StateError, match=f"trace distance {dist:.3e}"):
+            MarginalSet(L3Q, (ab, bc))
+        MarginalSet(L3Q, (ab, bc), overlap_tol=dist)
 
 
 class TestEntropies:
@@ -279,6 +344,29 @@ class TestSampleQmc:
             QmcSpec(2, 2, ((0.7, 1, 1),))  # probabilities do not sum to 1
         with pytest.raises(StateError):
             QmcSpec(0, 2, ((1.0, 1, 1),))
+
+    @pytest.mark.parametrize("dim_a, dim_c, blocks", [
+        (2.5, 2, ((1.0, 1, 2),)),
+        (2, 1.5, ((1.0, 1, 2),)),
+        (2, 2, ((1.0, 1.7, 2),)),
+        (2, 2, ((1.0, 1, 2.5),)),
+        (True, 2, ((1.0, 1, 2),)),
+        (2, np.True_, ((1.0, 1, 2),)),
+        (2, 2, ((1.0, True, 2),)),
+        ("2", 2, ((1.0, 1, 2),)),
+        (math.nan, 2, ((1.0, 1, 2),)),
+        (2, math.inf, ((1.0, 1, 2),)),
+    ], ids=["dim_a", "dim_c", "left", "right", "bool_a", "numpy_bool_c",
+            "bool_block", "string", "nan", "inf"])
+    def test_non_integer_dimension_rejected(self, dim_a, dim_c, blocks):
+        with pytest.raises(StateError, match="must be an integer"):
+            QmcSpec(dim_a, dim_c, blocks)
+
+    def test_integral_dimensions_converted(self):
+        spec = QmcSpec(2.0, np.int64(2), ((1.0, 1.0, np.float64(2.0)),))
+        assert (spec.dim_a, spec.dim_c, spec.blocks) == (2, 2, ((1.0, 1, 2),))
+        assert all(type(v) is int for v in (spec.dim_a, spec.dim_c, *spec.blocks[0][1:]))
+        assert sample_qmc(spec, seed=0).layout.dims == (2, 2, 2)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_rejected(self, p):
