@@ -161,38 +161,78 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
     return tensor.reshape(target.dim, target.dim)
 
 
+@dataclass(frozen=True)
+class _ProductPlan:
+    """Axis bookkeeping of ``local_product`` for one layout triple.
+
+    Unit-dimension factors index nothing and are dropped, so no tensor
+    below has more than two axes per factor of dimension > 1.
+    """
+
+    x_dims: tuple  # x as a tensor: rows then columns of its factors
+    x_axes: tuple  # to (X' rows, S rows, X' cols | S cols)
+    x_shape: tuple
+    y_dims: tuple
+    y_axes: tuple  # to (S rows | Y' rows, S cols, Y' cols)
+    y_shape: tuple
+    out_dims: tuple  # the product as a tensor
+    out_axes: tuple  # to the target's rows, then its columns
+
+
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _product_spec(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
-                  target: SubsystemLayout) -> str:
-    """einsum subscripts of ``local_product`` for one layout triple."""
+def _product_plan(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
+                  target: SubsystemLayout) -> _ProductPlan:
+    """How ``local_product`` permutes its operands into one matmul that
+    contracts their shared factors S, and the result into target order."""
     _check_factors(x_sub, target)
     _check_factors(y_sub, target)
     missing = set(target.labels) - set(x_sub.labels) - set(y_sub.labels)
     if missing:
         raise LayoutError(f"target factors {sorted(missing)} are on neither operand")
-    shared = set(x_sub.labels) & set(y_sub.labels)
-    if 2 * target.n + len(shared) > len(string.ascii_letters):
-        raise LayoutError("too many factors for einsum contraction")
-    letters = iter(string.ascii_letters)
-    row = {l: next(letters) for l in target.labels}
-    col = {l: next(letters) for l in target.labels}
-    # a shared factor is contracted; elsewhere the other operand is identity
-    mid = {l: next(letters) for l in shared}
-    x = [row[l] for l in x_sub.labels] + [mid.get(l, col[l]) for l in x_sub.labels]
-    y = [mid.get(l, row[l]) for l in y_sub.labels] + [col[l] for l in y_sub.labels]
-    out = [row[l] for l in target.labels] + [col[l] for l in target.labels]
-    return f"{''.join(x)},{''.join(y)}->{''.join(out)}"
+    dim = {l: d for l, d in zip(target.labels, target.dims) if d > 1}
+    xs = [l for l in x_sub.labels if l in dim]
+    ys = [l for l in y_sub.labels if l in dim]
+    s = [l for l in xs if l in ys]
+    x_only = [l for l in xs if l not in s]
+    y_only = [l for l in ys if l not in s]
+    # each factor is on two axes of the product, its row before its column;
+    # off its operand, the other operand is identity there
+    out = x_only + s + x_only + y_only + s + y_only
+    row, col = {}, {}
+    for i, l in enumerate(out):
+        row.setdefault(l, i)
+        col[l] = i
+
+    def axes(labels, order):
+        pos = [labels.index(l) for l in order]
+        return tuple(pos) + tuple(len(labels) + p for p in pos)
+
+    d_x, d_s, d_y = (math.prod(dim[l] for l in g) for g in (x_only, s, y_only))
+    return _ProductPlan(
+        tuple(dim[l] for l in xs) * 2, axes(xs, x_only + s), (d_x * d_s * d_x, d_s),
+        tuple(dim[l] for l in ys) * 2, axes(ys, s + y_only), (d_s, d_y * d_s * d_y),
+        tuple(dim[l] for l in out),
+        tuple(row[l] for l in dim) + tuple(col[l] for l in dim),
+    )
 
 
 def local_product(x: np.ndarray, x_sub: SubsystemLayout, y: np.ndarray,
                   y_sub: SubsystemLayout, target: SubsystemLayout) -> np.ndarray:
-    """``embed(x, x_sub, target) @ embed(y, y_sub, target)`` as one einsum in
-    O(D^2 * d) work, d the dimension of the factors both operands act on.
-    Every factor of ``target`` must be on at least one operand."""
-    spec = _product_spec(x_sub, y_sub, target)
-    x = _check_square(x, x_sub).reshape(x_sub.dims * 2)
-    y = _check_square(y, y_sub).reshape(y_sub.dims * 2)
-    return np.einsum(spec, x, y).reshape(target.dim, target.dim)
+    """``embed(x, x_sub, target) @ embed(y, y_sub, target)`` without embedding
+    either operand, in O(D^2 * d) work, d the dimension of the factors both
+    operands act on.  Every factor of ``target`` must be on at least one
+    operand.
+
+    x is permuted to a (d_X'^2 d, d) matrix and y to a (d, d d_Y'^2) one,
+    X' and Y' the factors on x only and on y only, so one matmul contracts
+    the shared factors; a transpose then puts the result in target order.
+    """
+    plan = _product_plan(x_sub, y_sub, target)
+    x = _check_square(x, x_sub).reshape(plan.x_dims).transpose(plan.x_axes)
+    y = _check_square(y, y_sub).reshape(plan.y_dims).transpose(plan.y_axes)
+    xy = x.reshape(plan.x_shape) @ y.reshape(plan.y_shape)
+    return xy.reshape(plan.out_dims).transpose(plan.out_axes).reshape(
+        target.dim, target.dim)
 
 
 def union_find(labels):

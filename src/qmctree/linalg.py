@@ -26,13 +26,17 @@ def frobenius(a: np.ndarray) -> float:
 
 def is_hermitian(op: np.ndarray) -> bool:
     """True when ``op``, or each matrix of a stack ``(..., n, n)``, is within
-    ``HERMITICITY_TOL * max(||op||, 1)`` of its adjoint in Frobenius norm."""
+    ``HERMITICITY_TOL * max(||op||, 1)`` of its adjoint in Frobenius norm.
+
+    A matrix whose skew part has no finite norm is not Hermitian, even
+    when ``||op||`` overflows as well."""
     op = np.asarray(op)
     # one matrix keeps numpy's flattened norm, which is faster than axis=(-2, -1)
     axes = (-2, -1) if op.ndim > 2 else None
-    scale = np.maximum(np.linalg.norm(op, axis=axes), 1.0)
-    skew = np.linalg.norm(op - np.swapaxes(op, -1, -2).conj(), axis=axes)
-    return bool((skew <= HERMITICITY_TOL * scale).all())
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms fail below
+        scale = np.maximum(np.linalg.norm(op, axis=axes), 1.0)
+        skew = np.linalg.norm(op - np.swapaxes(op, -1, -2).conj(), axis=axes)
+    return bool((np.isfinite(skew) & (skew <= HERMITICITY_TOL * scale)).all())
 
 
 @dataclass(frozen=True)

@@ -104,21 +104,35 @@ def petz_recover(
     return _petz_state(m, layout, b)
 
 
-def _petz_state(m: np.ndarray, layout: SubsystemLayout, b) -> RecoveryResult:
-    """The state of the unnormalized Petz output ``m`` (overwritten)."""
-    # eigh reads only one triangle; rounding's negative eigenvalues are cut from m
-    w, v = np.linalg.eigh(m)
-    neg = w < 0.0
-    if neg.any():
-        m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
-        w[neg] = 0.0
+def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
+                decompose: bool = False) -> RecoveryResult:
+    """The state of the unnormalized Petz output ``m`` (overwritten).
+
+    Only the spectrum is taken, and ``eig`` is left to first use, unless
+    ``decompose`` is set or an eigenvalue is negative: then one ``eigh``
+    cuts rounding's negative eigenvalues from ``m`` and the state keeps it.
+    """
+    w = v = None
+    if not decompose:
+        w = np.linalg.eigvalsh(m)  # like eigh, reads one triangle
+    if w is None or w[0] < 0.0:
+        w, v = np.linalg.eigh(m)
+        neg = w < 0.0
+        if neg.any():
+            m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
+            w[neg] = 0.0
     tr = float(np.sum(w))
     if not tr > 0.0:
         raise RecoveryError(
             f"recovered operator has pre-normalization trace {tr:.3e}: "
             f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
         )
-    state = DensityOperator._from_eig(layout, HermitianEig(w / tr, v), m / tr)
+    m /= tr
+    w /= tr
+    if v is None:
+        state = DensityOperator._checked(layout, m, w)
+    else:
+        state = DensityOperator._from_eig(layout, HermitianEig(w, v), m)
     return RecoveryResult(state, tr)
 
 

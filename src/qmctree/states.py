@@ -38,7 +38,9 @@ class DensityOperator:
 
     A state keeps, each formed at most once and read-only: the spectrum
     computed for validation, which serves every eigenvalue query; one
-    eigendecomposition, ``eig``; the reduced state on each label set
+    eigendecomposition, ``eig``, formed on first use (a Petz output is
+    given its spectrum, and its eigenvectors only where rounding left an
+    eigenvalue below zero to cut); the reduced state on each label set
     (``marginal``); and, per shared label set B, the t = 0 Petz factor
     rho^1/2 (rho_B^-1/2 (x) 1) that the normality test also uses when it
     reads this state as rho_BC (``recovery._bc_factor``).
@@ -83,7 +85,9 @@ class DensityOperator:
             if not is_hermitian(m):
                 raise StateError("matrix is not Hermitian within tolerance")
             w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -floor:  # eigvalsh and HermitianEig spectra ascend
+        # eigvalsh and HermitianEig spectra ascend; a NaN spectrum (from
+        # entries whose sums overflow) fails too
+        if not w[0] >= -floor:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:

@@ -192,8 +192,10 @@ def tree_recover(
                 report=report,
             )
         # tt is the t = 0 Petz output; the report above gates the overlap in
-        # a strict run, and a non-strict run recovers whatever the overlap
-        result = _petz_state(tt, target, (parent,))
+        # a strict run, and a non-strict run recovers whatever the overlap.
+        # The next step's rho_AB^1/2 and learn_tree's relative entropy read
+        # the state's eigenvectors, so it keeps its eigh
+        result = _petz_state(tt, target, (parent,), decompose=True)
         traces.append(result.pre_normalization_trace)
         state = result.state
     return TreeRecoveryResult(state, tuple(reports), rank_deficient, tuple(traces))

@@ -562,6 +562,13 @@ class TestMalformedOperatorFiles:
         path.write_text("[" * 100_000)
         assert self.run(capsys, ["check", str(path), str(path)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_skew_part_with_overflowing_norm(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        write_operator(path, SubsystemLayout(("A",), (2,)),
+                       np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex))
+        assert self.run(capsys, ["check", str(path), str(path)]) == 2
+
     @pytest.mark.parametrize("labels, dims", [
         (["A", "B"], [2.7, 4]),
         (["A", "B"], ["2", "4"]),

@@ -71,6 +71,15 @@ class TestIsHermitian:
         assert not is_hermitian(stack[1])
         assert not is_hermitian(stack)
 
+    @pytest.mark.filterwarnings("error")
+    def test_skew_part_with_overflowing_norm(self):
+        # inf <= HERMITICITY_TOL * inf holds, so an infinite skew norm
+        # must fail on its own
+        skew = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+        assert not is_hermitian(skew)
+        assert not is_hermitian(np.array([np.eye(2), skew]))
+        assert is_hermitian(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
     def test_empty_stack(self):
         assert is_hermitian(np.empty((0, 4, 4), dtype=complex))
 

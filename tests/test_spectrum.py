@@ -53,6 +53,21 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
+def solver_calls(monkeypatch):
+    """Calls to numpy's Hermitian eigensolvers, counted by name."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
 def partial_traces(monkeypatch):
     """Label sets traced down to by ``DensityOperator.marginal``, in call order."""
     seen = []
@@ -233,6 +248,58 @@ class TestSpectrumKept:
             DensityOperator._from_eig(layout, eig)
 
 
+class TestPetzOutputSpectrum:
+    """A Petz output is given its spectrum only; its eigenvectors are
+    computed on first use, or at once when rounding left an eigenvalue
+    below zero that must be cut."""
+
+    L3 = SubsystemLayout(("A", "B", "C"), (2, 3, 2))
+
+    def warm_pair(self, seed):
+        # a full-rank joint: X rho_AB X^dagger is full rank, so no output
+        # eigenvalue is cut
+        joint = sample_density(self.L3, seed=seed)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        for t in (0.0, 0.7):  # forms rho_B and every decomposition recovery reads
+            petz_recover(ab, bc, t=t)
+        return ab, bc
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_warm_recovery_takes_one_spectrum(self, solver_calls, t):
+        ab, bc = self.warm_pair(seed=41)
+        solver_calls.clear()
+        for _ in range(2):
+            petz_recover(ab, bc, t=t)
+        assert solver_calls == Counter(eigvalsh=2)
+
+    def test_output_decomposed_once_on_first_use(self, solver_calls):
+        ab, bc = self.warm_pair(seed=42)
+        out = petz_recover(ab, bc, t=0.7).state
+        solver_calls.clear()
+        assert out.eig is out.eig
+        assert solver_calls == Counter(eigh=1)
+        np.testing.assert_allclose(out.eig.reconstruct(), out.matrix, atol=1e-12)
+
+    def test_cut_outputs_match_eigh_and_cut(self):
+        # a pure joint's Petz outputs have rank 2 of 8, and rounding leaves
+        # some of the six zero eigenvalues negative in many of them
+        layout = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
+        cut = 0
+        for seed in range(200):
+            joint = sample_density(layout, rank=1, seed=seed)
+            ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+            for t in (0.0, 0.7):
+                out = petz_recover(ab, bc, t=t).state
+                cut += "eig" in vars(out)  # kept from the cutting eigh
+                w, v = np.linalg.eigh(dense_petz(ab, bc, t, layout))
+                w = np.maximum(w, 0.0) / np.sum(np.maximum(w, 0.0))
+                assert out.eigenvalues()[0] >= 0.0
+                np.testing.assert_allclose(out.eigenvalues(), w, atol=1e-12)
+                np.testing.assert_allclose(
+                    out.matrix, (v * w) @ v.conj().T, atol=1e-12)
+        assert cut > 0  # the cut path ran
+
+
 class TestPairFactsOnce:
     """A compatibility check and Petz recovery of one pair form each of
     their shared facts once."""
@@ -366,6 +433,21 @@ class TestLocalApplication:
         SubsystemLayout(("A", "B", "C"), (2, 3, 2)),
         SubsystemLayout(("C", "A"), (2, 2)),
         SubsystemLayout(("A", "B", "C"), (2, 3, 2)), 1,
+    ))
+    @example(case=(  # no shared factor: an outer product
+        SubsystemLayout(("A", "B", "C"), (2, 3, 2)),
+        SubsystemLayout(("C", "A"), (2, 2)),
+        SubsystemLayout(("B",), (3,)), 2,
+    ))
+    @example(case=(  # x on the whole target, y's factors out of target order
+        SubsystemLayout(("A", "B", "C", "D"), (2, 3, 2, 2)),
+        SubsystemLayout(("A", "B", "C", "D"), (2, 3, 2, 2)),
+        SubsystemLayout(("D", "B"), (2, 3)), 3,
+    ))
+    @example(case=(  # unit-dimension factors, on one operand and on both
+        SubsystemLayout(("A", "B", "C", "D"), (1, 2, 1, 3)),
+        SubsystemLayout(("B", "A", "C"), (2, 1, 1)),
+        SubsystemLayout(("D", "C", "B"), (3, 1, 2)), 4,
     ))
     def test_local_product_equals_embed_matmul(self, case):
         target, x_sub, y_sub, seed = case

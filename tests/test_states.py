@@ -49,6 +49,26 @@ class TestDensityOperator:
         with pytest.raises(FileFormatError, match="Hermitian"):
             read_density(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_skew_part_with_overflowing_norm(self, tmp_path):
+        # ||m|| and ||m - m^dagger|| both overflow to inf, and the Hermitian
+        # part is I/2; the skew part must still refuse it, with no warning
+        m = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+        with pytest.raises(StateError, match="Hermitian"):
+            DensityOperator(L2, m)
+        path = tmp_path / "overflow.json"
+        write_operator(path, L2, m)
+        with pytest.raises(FileFormatError, match="Hermitian"):
+            read_density(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_rejects_hermitian_matrix_whose_spectrum_overflows(self):
+        # eigenvalues 0.5 +- 1e308: the symmetrized matrix overflows, its
+        # spectrum is NaN, and a NaN must not pass the negativity floor
+        with pytest.raises(StateError, match="negative eigenvalue"):
+            DensityOperator(L2, np.array([[0.5, 1e308], [1e308, 0.5]]))
+
     def test_rejects_negative(self):
         with pytest.raises(StateError):
             DensityOperator(L2, np.diag([1.5, -0.5]))
