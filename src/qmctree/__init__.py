@@ -41,7 +41,6 @@ from .maxent import (
     MaxEntSolution,
     bayesian_update,
     diagram_commutes,
-    gell_mann_basis,
     marginal_constraints,
     solve_maxent,
 )
@@ -65,8 +64,7 @@ __all__ = [
     "best_pair_mutual_info", "check_qmc_compatibility", "petz_recover",
     "relative_entropy_gap",
     "ConstraintSet", "MaxEntSolution", "bayesian_update",
-    "diagram_commutes", "gell_mann_basis", "marginal_constraints",
-    "solve_maxent",
+    "diagram_commutes", "marginal_constraints", "solve_maxent",
     "QuantumTree", "WeightedEdgeList", "chow_liu_tree", "delta_s",
     "learn_tree", "tree_recover",
 ]

@@ -146,19 +146,22 @@ def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.n
     permuted into the target's factor order.
     """
     op = _check_square(op, sub)
-    _check_factors(sub, target)
-    comp = target.complement(sub.labels)
-    comp_dim = math.prod(target.dim_of(l) for l in comp)
-    full = np.kron(op, np.eye(comp_dim, dtype=complex))
+    comp_dim, dims, axes = _embed_plan(sub, target)
+    # op (x) 1 as a broadcast product: entry for entry what np.kron forms
+    full = op.reshape(sub.dim, 1, sub.dim, 1) * np.eye(comp_dim)[None, :, None, :]
+    return full.reshape(dims).transpose(axes).reshape(target.dim, target.dim)
 
-    # current factor order: sub.labels then complement (in target order)
-    current = list(sub.labels) + list(comp)
-    cur_dims = [target.dim_of(l) for l in current]
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _embed_plan(sub: SubsystemLayout, target: SubsystemLayout) -> tuple:
+    """Complement dimension, tensor shape and axis order of ``embed``: op (x) 1
+    has the factors of ``sub``, then the rest of ``target`` in target order,
+    on its rows and on its columns; the axes put them in target order."""
+    _check_factors(sub, target)
+    current = list(sub.labels) + list(target.complement(sub.labels))
     perm = [current.index(l) for l in target.labels]
-    n = len(current)
-    tensor = full.reshape(*cur_dims, *cur_dims)
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    return tensor.reshape(target.dim, target.dim)
+    dims = tuple(target.dim_of(l) for l in current) * 2
+    return target.dim // sub.dim, dims, tuple(perm) + tuple(len(perm) + p for p in perm)
 
 
 @dataclass(frozen=True)

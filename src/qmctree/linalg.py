@@ -63,7 +63,7 @@ def hermitian_eig(op: np.ndarray) -> HermitianEig:
     op = np.asarray(op, dtype=complex)
     if not is_hermitian(op):
         raise MatrixError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((op + op.conj().T) / 2)
+    w, v = np.linalg.eigh(op / 2 + op.conj().T / 2)  # halved first: no overflow
     return HermitianEig(w, v)
 
 

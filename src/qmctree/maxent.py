@@ -1,24 +1,30 @@
 """Maximum-entropy estimation by convex dual minimization.
 
-The dual F(lambda) = log Tr exp(H0 + sum lambda_i Theta_i) - sum lambda_i
-<Theta_i> is smooth and convex; it is minimized by damped Newton steps with
-a backtracking line search (H0 = 0 for plain entropy maximization, H0 =
-log prior for minimum-relative-entropy updating).
+Each marginal rho_e is a constraint, with one Hermitian multiplier Lambda_e
+on its factors (in rho_e's label order).  The dual F(Lambda) = log Tr exp(H0
++ sum_e Lambda_e (x) 1) - sum_e Tr(Lambda_e rho_e) is smooth and convex, with
+gradient Tr_rest rho(Lambda) - rho_e in Lambda_e; it is minimized by damped
+Newton steps with a backtracking line search (H0 = 0 for plain entropy
+maximization, H0 = log prior for minimum-relative-entropy updating).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .layout import SubsystemLayout, embed
-from .linalg import MatrixError, is_hermitian, spectral_function, trace_distance
+from .linalg import spectral_function, trace_distance
 from .recovery import compose_layouts
-from .states import DensityOperator, MarginalSet, maximally_mixed
-
-# largest disagreement between two marginals' targets for a shared observable
-TARGET_TOL = 1e-8
+from .states import (
+    OVERLAP_TOL,
+    DensityOperator,
+    MarginalSet,
+    maximally_mixed,
+    overlap_conflict,
+)
 
 
 class MaxEntError(ValueError):
@@ -26,7 +32,7 @@ class MaxEntError(ValueError):
 
 
 class ConstraintConflictError(MaxEntError):
-    """Overlapping marginals imply contradictory expectation targets."""
+    """Overlapping marginals disagree on the factors they share."""
 
 
 class ConvergenceError(MaxEntError):
@@ -40,116 +46,42 @@ class InfeasibleConstraintsError(MaxEntError):
 
 
 # ---------------------------------------------------------------------------
-# operator basis
-
-def gell_mann_basis(d: int) -> list[np.ndarray]:
-    """Identity plus the d^2 - 1 traceless generators, Tr(L^2) = 2 each."""
-    if d < 1:
-        raise MaxEntError("dimension must be >= 1")
-    basis = [np.eye(d, dtype=complex)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j
-            asym[k, j] = 1j
-            basis.append(asym)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1
-        diag[l] = -l
-        basis.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag).astype(complex))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # constraints
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Hermitian observables on a joint layout with expectation targets, kept
-    as read-only (m, D, D) complex and (m,) float arrays.  A complex128
-    observables array is adopted without a copy, like DensityOperator.matrix."""
+    """Marginals on factors of a joint layout that the state must reproduce.
+
+    Construction checks each marginal's labels and dimensions against the
+    layout (LayoutError) and every overlapping pair within ``OVERLAP_TOL``
+    trace distance on the factors they share (ConstraintConflictError).
+    """
 
     layout: SubsystemLayout
-    observables: np.ndarray
-    targets: np.ndarray
+    marginals: tuple[DensityOperator, ...]
 
     def __post_init__(self):
-        d = self.layout.dim
-        obs = np.asarray(self.observables, dtype=complex)
-        if obs.size == 0:
-            obs = np.empty((0, d, d), dtype=complex)
-        if obs.ndim != 3 or obs.shape[1:] != (d, d):
-            raise MaxEntError(f"observable shape {obs.shape[1:]} does not match "
-                              f"the layout's {(d, d)}")
-        targets = np.array(self.targets, dtype=float)
-        if targets.shape != (len(obs),):
-            raise MaxEntError("observables and targets differ in length")
-        if not is_hermitian(obs):
-            raise MatrixError("constraint observable is not Hermitian")
-        if not np.all(np.isfinite(targets)):
-            raise MaxEntError("targets must be finite")
-        obs.setflags(write=False)
-        targets.setflags(write=False)
-        object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "targets", targets)
-
-    def __len__(self):
-        return len(self.observables)
+        object.__setattr__(self, "marginals", tuple(self.marginals))
+        conflict = overlap_conflict(self.layout, self.marginals, OVERLAP_TOL)
+        if conflict is not None:
+            raise ConstraintConflictError(conflict)
 
 
 def marginal_constraints(marginals: MarginalSet) -> ConstraintSet:
-    """Expectation constraints pinning each marginal of the parent layout.
-
-    For a marginal on factors (X, Y) these are the embedded basis products
-    L_k L_l for (k, l) != (0, 0); shared-overlap duplicates are removed
-    after a consistency check on their targets.
-    """
-    return expectation_constraints(marginals.parent, marginals.marginals)
+    """Constraints pinning each marginal of the parent layout."""
+    return ConstraintSet(marginals.parent, marginals.marginals)
 
 
 def expectation_constraints(layout: SubsystemLayout, marginals) -> ConstraintSet:
     """As marginal_constraints, but without requiring the marginals to
-    cover the layout (used for one-step sequential updates).
-
-    Each marginal's observables are one batched Kronecker product over the
-    layout's factors, in layout order: every basis element on the marginal's
-    factors, the identity elsewhere; each is keyed by its basis index on
-    every factor.  Targets use Tr(rho_e L) = Tr((rho_e (x) 1/d_rest) embed(L)).
-    """
-    bases = {d: np.array(gell_mann_basis(d)) for d in set(layout.dims)}
-    blocks = [np.empty((0, layout.dim, layout.dim), dtype=complex)]
-    targets, seen = [np.empty(0)], {}  # seen: basis indices -> target
-    for marg in marginals:
-        sub = marg.layout
-        weight = embed(marg.matrix, sub, layout) / (layout.dim // sub.dim)
-        factors = [bases[d] if l in sub.labels else bases[d][:1]
-                   for l, d in zip(layout.labels, layout.dims)]
-        block = np.ones((1, 1, 1), dtype=complex)
-        for f in factors:
-            block = np.einsum("aij,bkl->abikjl", block, f).reshape(
-                len(block) * len(f), block.shape[1] * f.shape[1], -1)
-        values = np.einsum("kij,ji->k", block, weight).real
-        keys = list(np.ndindex(*(len(f) for f in factors)))
-        fresh = [row for row in range(1, len(keys)) if keys[row] not in seen]
-        for key, value in zip(keys[1:], values[1:]):  # row 0 is the identity
-            if abs(seen.setdefault(key, value) - value) > TARGET_TOL:
-                named = {l: k for l, k in zip(layout.labels, key) if k}
-                raise ConstraintConflictError(
-                    f"conflicting targets for shared observable {named}: "
-                    f"{seen[key]} vs {value}")
-        blocks.append(block[fresh])
-        targets.append(values[fresh])
-    return ConstraintSet(layout, np.concatenate(blocks), np.concatenate(targets))
+    cover the layout (used for one-step sequential updates)."""
+    return ConstraintSet(layout, marginals)
 
 
 # ---------------------------------------------------------------------------
 # dual solver
 
-GRAD_TOL = 1e-10  # stop once every gradient entry is this small
+GRAD_TOL = 1e-10  # stop once every marginal mismatch has this Frobenius norm
 RESIDUAL_TOL = 1e-6  # largest final residual accepted as converged
 MAX_ITER = 10000
 MULTIPLIER_CAP = 1e3  # a multiplier beyond this means infeasible targets
@@ -160,15 +92,25 @@ MIN_STEP = 1e-14  # the line search stalls below this step length
 
 @dataclass(frozen=True)
 class MaxEntSolution:
-    multipliers: np.ndarray
+    multipliers: tuple[np.ndarray, ...]  # Lambda_e, in each marginal's label order
     state: DensityOperator
     log_partition: float
-    residual: float
+    residual: float  # largest Frobenius norm of a marginal mismatch
     iterations: int
 
 
-def _gibbs(base, thetas, lam):
-    h = base + np.tensordot(lam, thetas, axes=1)
+def _split(lam, marginals):
+    """The multipliers Lambda_e as (d_e, d_e) views of the flat vector ``lam``,
+    or each marginal's (d_e, d_e, ...) block of a stack along its first axis."""
+    dims = [m.layout.dim for m in marginals]
+    ends = itertools.accumulate(d * d for d in dims)
+    return [lam[end - d * d:end].reshape(d, d, *lam.shape[1:]) for d, end in zip(dims, ends)]
+
+
+def _gibbs(base, constraints, lam):
+    layout, marginals = constraints.layout, constraints.marginals
+    h = sum((embed(l, m.layout, layout) for m, l in zip(marginals, _split(lam, marginals))),
+            base)
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     shift = np.max(w)
     ew = np.exp(w - shift)
@@ -179,16 +121,43 @@ def _gibbs(base, thetas, lam):
 
 
 def _dual_value(log_z, lam, targets):
-    return log_z - float(np.dot(lam, targets))
+    """log Z - sum_e Tr(Lambda_e rho_e), with ``targets`` the flat rho_e."""
+    return log_z - float(np.vdot(targets, lam).real)
 
 
-def _gradient(rho, thetas, targets):
-    """Tr(rho Theta_i) - <Theta_i> for the stacked observables."""
-    return np.einsum("kij,ij->k", thetas, rho.conj()).real - targets
+def _unit_stack(constraints, v):
+    """v^dagger (E_jk (x) 1) v for the matrix units E_jk of every marginal's
+    factors, stacked (m, D, D) in the order of the flat multipliers.
+
+    For each marginal the rows of v are permuted to (d_rest, d_e D), the
+    marginal's factors after the rest, so one GEMM X^dagger X gives them all.
+    """
+    layout, marginals, n = constraints.layout, constraints.marginals, len(v)
+    tensor = v.reshape(*layout.dims, n)
+    stack = np.empty((sum(m.layout.dim ** 2 for m in marginals), n, n), dtype=complex)
+    for marg, block in zip(marginals, _split(stack, marginals)):
+        d = marg.layout.dim
+        first = [layout.index(l) for l in marg.labels]
+        rest = [i for i in range(layout.n) if i not in first]
+        x = tensor.transpose(*rest, *first, layout.n).reshape(-1, d * n)
+        block[...] = (x.conj().T @ x).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    return stack
 
 
-def _hessian(thetas_tilde, w, ew, z):
-    """Hessian of log Z from the observables in the eigenbasis of H.
+def _mismatch(stack, ew, z, targets):
+    """vec(Tr_rest rho - rho_e) for every marginal, from the stack's diagonals
+    weighted by the Gibbs weights: Tr(rho (E_jk (x) 1)) = (Tr_rest rho)_kj."""
+    return np.diagonal(stack, axis1=1, axis2=2).conj() @ (ew / z) - targets
+
+
+def _residual(grad, marginals):
+    """Largest Frobenius norm of a marginal mismatch Tr_rest rho - rho_e."""
+    return max((np.vdot(g, g).real for g in _split(grad, marginals)), default=0.0) ** 0.5
+
+
+def _hessian(stack, w, ew, z):
+    """Hessian of log Z in the flat multipliers, from the unit stack in the
+    eigenbasis of H: complex, Hermitian and positive semidefinite.
 
     phi holds the divided differences of exp on the spectrum w, with
     ew = exp(w - max w); the expm1 form keeps full relative precision on
@@ -198,35 +167,50 @@ def _hessian(thetas_tilde, w, ew, z):
     nonzero = gap > 0
     ratio = np.where(nonzero, -np.expm1(-gap) / np.where(nonzero, gap, 1.0), 1.0)
     phi = np.maximum(ew[:, None], ew) * ratio
-    f = thetas_tilde.reshape(len(thetas_tilde), w.size ** 2)
-    mean = np.diagonal(thetas_tilde, axis1=1, axis2=2).real @ ew / z
-    hess = (f.conj() @ (phi.ravel() * f).T).real / z - np.outer(mean, mean)
-    return (hess + hess.T) / 2
+    f = stack.reshape(len(stack), w.size ** 2)
+    mean = np.diagonal(stack, axis1=1, axis2=2) @ ew / z
+    hess = (f.conj() @ (phi.ravel() * f).T) / z - np.outer(mean.conj(), mean)
+    return (hess + hess.conj().T) / 2
 
 
 def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolution:
-    """Damped-Newton minimization of the convex dual; start is lambda = 0."""
-    thetas, targets = constraints.observables, constraints.targets
-    lam = np.zeros(len(thetas))
+    """Damped-Newton minimization of the convex dual; start is Lambda = 0."""
+    marginals = constraints.marginals
+    targets = np.concatenate([np.empty(0, complex)] + [m.matrix.ravel() for m in marginals])
+    lam = np.zeros(targets.size, dtype=complex)
 
-    rho, log_z, w, v, ew, z = _gibbs(base, thetas, lam)
+    rho, log_z, w, v, ew, z = _gibbs(base, constraints, lam)
     value = _dual_value(log_z, lam, targets)
-    iterations = 0
+    iterations, null = 0, None
     for iterations in range(1, MAX_ITER + 1):
-        grad = _gradient(rho, thetas, targets)
-        if np.max(np.abs(grad), initial=0.0) <= GRAD_TOL:
+        stack = _unit_stack(constraints, v)
+        grad = _mismatch(stack, ew, z, targets)
+        if _residual(grad, marginals) <= GRAD_TOL:
             break
-        hess = _hessian(v.conj().T @ thetas @ v, w, ew, z)
+        hess = _hessian(stack, w, ew, z)
         reg = 1e-13 * max(np.trace(hess).real, 1.0)
+        if null is None:
+            # The Hessian's null directions change no state.  Targets whose
+            # traces are not exactly one, or that disagree on shared factors
+            # within OVERLAP_TOL, tilt the dual along them, where it has no
+            # minimum.  The tilt is the same at every Lambda: take it out of
+            # the targets once, here at Lambda = 0, and keep every step off it.
+            hw, hv = np.linalg.eigh(hess)
+            null = hv[:, hw <= reg]
+            fixed = null @ (null.conj().T @ grad)
+            targets, grad = targets + fixed, grad - fixed
+            if _residual(grad, marginals) <= GRAD_TOL:
+                break
         try:
             step = np.linalg.solve(hess + reg * np.eye(len(grad)), -grad)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-            step = -step if np.dot(step, grad) > 0 else step
-        if np.dot(step, grad) >= 0:
+            step = -step if np.vdot(grad, step).real > 0 else step
+        step = step - null @ (null.conj().T @ step)
+        if np.vdot(grad, step).real >= 0:
             step = -grad  # fall back to steepest descent
 
-        slope = float(np.dot(grad, step))
+        slope = float(np.vdot(grad, step).real)
         # A predicted decrease below the float resolution of the dual value
         # makes the Armijo test rounding noise: take the full Newton step
         # untested, which this close to the optimum contracts the gradient
@@ -235,7 +219,7 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
         alpha = 1.0
         while alpha >= MIN_STEP:
             trial = lam + alpha * step
-            gibbs = _gibbs(base, thetas, trial)
+            gibbs = _gibbs(base, constraints, trial)
             trial_value = _dual_value(gibbs[1], trial, targets)
             if untested or trial_value <= value + ARMIJO * alpha * slope:
                 lam, value = trial, trial_value
@@ -250,8 +234,10 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
                 f"multiplier norm exceeded {MULTIPLIER_CAP:.1e}; "
                 "targets appear infeasible"
             )
+    else:  # the last step's mismatch is not yet known
+        grad = _mismatch(_unit_stack(constraints, v), ew, z, targets)
 
-    residual = float(np.max(np.abs(_gradient(rho, thetas, targets)), initial=0.0))
+    residual = _residual(grad, marginals)
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"dual solver stopped at residual {residual:.3e} after "
@@ -259,11 +245,12 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
             residual=residual,
         )
     state = DensityOperator(constraints.layout, (rho + rho.conj().T) / 2)
-    return MaxEntSolution(lam, state, log_z, residual, iterations)
+    multipliers = tuple((l + l.conj().T) / 2 for l in _split(lam, marginals))
+    return MaxEntSolution(multipliers, state, log_z, residual, iterations)
 
 
 def solve_maxent(constraints: ConstraintSet) -> MaxEntSolution:
-    """Maximum-entropy Gibbs state meeting the expectation constraints."""
+    """Maximum-entropy Gibbs state meeting the marginal constraints."""
     d = constraints.layout.dim
     return minimize_dual(np.zeros((d, d), dtype=complex), constraints)
 

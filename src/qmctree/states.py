@@ -10,7 +10,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .layout import LayoutError, SubsystemLayout, partial_trace, spanning_tree_problem
+from .layout import (
+    LayoutError,
+    SubsystemLayout,
+    _check_factors,
+    embed,
+    partial_trace,
+    spanning_tree_problem,
+)
 from .linalg import (
     HermitianEig,
     frobenius,
@@ -66,10 +73,9 @@ class DensityOperator:
         return state
 
     @classmethod
-    def _from_eig(cls, layout, eig: HermitianEig, m=None) -> "DensityOperator":
-        """The state ``m`` (by default rebuilt from its decomposition ``eig``),
-        checked on its known spectrum."""
-        m = eig.reconstruct() if m is None else m
+    def _from_eig(cls, layout, eig: HermitianEig, m) -> "DensityOperator":
+        """The state ``m``, whose decomposition is ``eig``, checked on its
+        known spectrum."""
         state = cls._checked(layout, m, eig.eigenvalues)
         _freeze(eig.eigenvectors)
         object.__setattr__(state, "eig", eig)  # fills the cached property
@@ -84,9 +90,9 @@ class DensityOperator:
         if w is None:
             if not is_hermitian(m):
                 raise StateError("matrix is not Hermitian within tolerance")
-            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        # eigvalsh and HermitianEig spectra ascend; a NaN spectrum (from
-        # entries whose sums overflow) fails too
+            # halving first cannot overflow, and is exact for all other input
+            w = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)
+        # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
         if not w[0] >= -floor:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
@@ -146,9 +152,16 @@ def pairwise_marginals(rho: DensityOperator) -> dict:
     }
 
 
+def _reductions(a: DensityOperator, b: DensityOperator, shared):
+    """The matrices of ``a`` and ``b`` reduced to ``shared``, in ``a``'s label order."""
+    ra, rb = a.marginal(shared), b.marginal(shared)
+    mb = rb.matrix if rb.layout == ra.layout else embed(rb.matrix, rb.layout, ra.layout)
+    return ra.matrix, mb
+
+
 def overlap_distance(a: DensityOperator, b: DensityOperator, shared) -> float:
     """Trace distance between the reductions of ``a`` and ``b`` to ``shared``."""
-    return trace_distance(a.marginal(shared).matrix, b.marginal(shared).matrix)
+    return trace_distance(*_reductions(a, b, shared))
 
 
 def overlap_violation(a: DensityOperator, b: DensityOperator, shared,
@@ -160,7 +173,7 @@ def overlap_violation(a: DensityOperator, b: DensityOperator, shared,
     bound is within ``tol`` is accepted without an eigenvalue solve; only
     a pair whose bound fails pays for the exact distance, which decides.
     """
-    ma, mb = a.marginal(shared).matrix, b.marginal(shared).matrix
+    ma, mb = _reductions(a, b, shared)
     if 0.5 * math.sqrt(len(ma)) * frobenius(ma - mb) * _BOUND_MARGIN <= tol:
         return None
     dist = trace_distance(ma, mb)
@@ -188,30 +201,28 @@ class MarginalSet:
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        covered = set()
-        for m in self.marginals:
-            for label in m.labels:
-                if label not in self.parent.labels:
-                    raise LayoutError(
-                        f"marginal label {label!r} not in parent layout"
-                    )
-                if m.layout.dim_of(label) != self.parent.dim_of(label):
-                    raise LayoutError(f"dimension mismatch on label {label!r}")
-            covered.update(m.labels)
-        if covered != set(self.parent.labels):
-            missing = set(self.parent.labels) - covered
+        missing = set(self.parent.labels).difference(*(m.labels for m in self.marginals))
+        if missing:
             raise LayoutError(f"marginals do not cover labels {sorted(missing)}")
-        for i, a in enumerate(self.marginals):
-            for b in self.marginals[i + 1:]:
-                shared = set(a.labels) & set(b.labels)
-                if not shared:
-                    continue
-                dist = overlap_violation(a, b, shared, self.overlap_tol)
-                if dist is not None:
-                    raise StateError(
-                        f"marginals on {a.labels} and {b.labels} disagree on "
-                        f"{sorted(shared)}: trace distance {dist:.3e}"
-                    )
+        conflict = overlap_conflict(self.parent, self.marginals, self.overlap_tol)
+        if conflict is not None:
+            raise StateError(conflict)
+
+
+def overlap_conflict(parent: SubsystemLayout, marginals, tol: float) -> str | None:
+    """Why two of ``marginals`` disagree on shared factors by more than ``tol``
+    in trace distance, or None.  A marginal on a factor that ``parent``
+    lacks, or has in another dimension, raises LayoutError."""
+    for m in marginals:
+        _check_factors(m.layout, parent)
+    for i, a in enumerate(marginals):
+        for b in marginals[:i]:
+            shared = set(a.labels) & set(b.labels)
+            dist = overlap_violation(b, a, shared, tol) if shared else None
+            if dist is not None:
+                return (f"marginals on {b.labels} and {a.labels} disagree on "
+                        f"{sorted(shared)}: trace distance {dist:.3e}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,13 @@ from qmctree import (
     von_neumann_entropy,
 )
 from qmctree.linalg import frobenius
-from qmctree.maxent import _dual_value, _gibbs, expectation_constraints
+from qmctree.maxent import (
+    _dual_value,
+    _gibbs,
+    _mismatch,
+    _unit_stack,
+    expectation_constraints,
+)
 from qmctree.recovery import chain_pairs, chains_in_tie_order
 from qmctree.tree import enumerate_spanning_trees, pairwise_marginals
 
@@ -356,28 +362,30 @@ def test_criterion_09_numerical_calculus():
     print(f"criterion 9: min CMI over 1000 states {worst_cmi:.3e}")
     assert worst_cmi >= -1e-9
 
+    # the gradient Tr_rest rho - rho_AB in the Hermitian multiplier Lambda
+    # of the AB marginal, along a random Hermitian direction Delta
     layout = SubsystemLayout(("A", "B"), (2, 2))
     cs = expectation_constraints(layout, (sample_density(layout, seed=rng),))
-    thetas = [np.asarray(t) for t in cs.observables]
-    targets = np.asarray(cs.targets)
+    targets = cs.marginals[0].matrix.ravel()
     base = np.zeros((4, 4), dtype=complex)
     eps = 1e-6
+
+    def hermitian():
+        x = rng.uniform(-0.5, 0.5, (4, 4)) + 1j * rng.uniform(-0.5, 0.5, (4, 4))
+        return ((x + x.conj().T) / 2).ravel()
+
     for _ in range(20):
-        lam = rng.uniform(-0.5, 0.5, len(thetas))
-        rho, log_z, *_ = _gibbs(base, thetas, lam)
-        grad = np.array(
-            [np.sum(rho.conj() * t).real for t in thetas]
-        ) - targets
-        i = int(rng.integers(len(lam)))
-        up, dn = lam.copy(), lam.copy()
-        up[i] += eps
-        dn[i] -= eps
-        _, lz_u, *_ = _gibbs(base, thetas, up)
-        _, lz_d, *_ = _gibbs(base, thetas, dn)
+        lam, delta = hermitian(), hermitian()
+        _, _, _, v, ew, z = _gibbs(base, cs, lam)
+        grad = _mismatch(_unit_stack(cs, v), ew, z, targets)
+        _, lz_u, *_ = _gibbs(base, cs, lam + eps * delta)
+        _, lz_d, *_ = _gibbs(base, cs, lam - eps * delta)
         fd = (
-            _dual_value(lz_u, up, targets) - _dual_value(lz_d, dn, targets)
+            _dual_value(lz_u, lam + eps * delta, targets)
+            - _dual_value(lz_d, lam - eps * delta, targets)
         ) / (2 * eps)
-        assert abs(grad[i] - fd) / max(abs(fd), 1e-3) < 1e-5
+        slope = np.vdot(grad, delta).real
+        assert abs(slope - fd) / max(abs(fd), 1e-3) < 1e-5
 
     sub = SubsystemLayout(("A", "C"), (2, 2))
     for _ in range(100):

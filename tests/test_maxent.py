@@ -1,6 +1,5 @@
-"""Operator bases, constraint assembly, the dual solver, and updating."""
+"""Constraint sets, the dual solver and its calculus, and updating."""
 
-import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -17,26 +16,28 @@ from qmctree import (
     SubsystemLayout,
     bayesian_update,
     diagram_commutes,
-    gell_mann_basis,
     marginal_constraints,
+    matrix_function,
     maximally_mixed,
     petz_recover,
+    relative_entropy,
     sample_density,
     sample_qmc,
     solve_maxent,
     trace_distance,
     von_neumann_entropy,
 )
-from qmctree.layout import embed
-from qmctree.linalg import MatrixError
+from qmctree.layout import LayoutError, embed
 from qmctree.maxent import (
+    GRAD_TOL,
     ConstraintConflictError,
     ConstraintSet,
     MaxEntError,
     _dual_value,
     _gibbs,
-    _gradient,
     _hessian,
+    _mismatch,
+    _unit_stack,
     expectation_constraints,
 )
 
@@ -44,6 +45,7 @@ from conftest import PROPERTY, classical_chain, random_conditional
 
 L3Q = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 LAB = SubsystemLayout(("A", "B"), (2, 2))
+L4 = SubsystemLayout(("A", "B", "C", "D"), (2, 2, 2, 2))
 
 
 def reordered(state, labels):
@@ -52,37 +54,31 @@ def reordered(state, labels):
     return DensityOperator(sub, embed(state.matrix, state.layout, sub))
 
 
-def basis_keys(layout, labels):
-    """Non-identity basis indices on ``labels``, in layout order, as
-    frozensets of (label, index) pairs."""
-    on = [l for l in layout.labels if l in labels]
-    ranges = [range(layout.dim_of(l) ** 2) for l in on]
-    keys = (frozenset((l, k) for l, k in zip(on, idx) if k)
-            for idx in itertools.product(*ranges))
-    return [key for key in keys if key]
+def hermitian(rng, d, scale=0.5):
+    """Random Hermitian d x d matrix with entries of size up to ``scale``."""
+    x = rng.uniform(-scale, scale, (d, d)) + 1j * rng.uniform(-scale, scale, (d, d))
+    return (x + x.conj().T) / 2
 
 
-def reference_observables(layout, marginals):
-    """One observable at a time: the Kronecker product of each basis
-    element in the marginal's own label order, embedded into ``layout``;
-    the first occurrence of a shared observable is kept."""
-    seen, out = set(), []
-    for marg in marginals:
-        sub = marg.layout
-        for key in basis_keys(layout, sub.labels):
-            if key in seen:
-                continue
-            seen.add(key)
-            index = dict(key)
-            local = functools.reduce(np.kron, [
-                gell_mann_basis(d)[index.get(l, 0)] for l, d in zip(sub.labels, sub.dims)
-            ])
-            out.append(embed(local, sub, layout))
-    return out
+def random_multipliers(rng, cs):
+    """One random Hermitian Lambda_e per marginal, as one flat vector."""
+    return np.concatenate([hermitian(rng, m.layout.dim).ravel() for m in cs.marginals])
+
+
+def flat_targets(cs):
+    return np.concatenate([m.matrix.ravel() for m in cs.marginals])
+
+
+def mismatch(cs, lam, base=None):
+    """The dual's gradient at ``lam``: vec(Tr_rest rho - rho_e) per marginal."""
+    d = cs.layout.dim
+    base = np.zeros((d, d), dtype=complex) if base is None else base
+    _, _, _, v, ew, z = _gibbs(base, cs, lam)
+    return _mismatch(_unit_stack(cs, v), ew, z, flat_targets(cs))
 
 
 @st.composite
-def assembly_cases(draw):
+def constraint_cases(draw):
     """(layout, marginal label tuples, seed): two or three factors of
     dimension 2 or 3 and one to three marginals, each naming its factors
     in any order."""
@@ -97,50 +93,45 @@ def assembly_cases(draw):
     return layout, labels, draw(st.integers(0, 2**32 - 1))
 
 
-class TestGellMannBasis:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_counts_and_normalization(self, d):
-        basis = gell_mann_basis(d)
-        assert len(basis) == d * d
-        np.testing.assert_allclose(basis[0], np.eye(d), atol=1e-14)
-        for j, el in enumerate(basis[1:], start=1):
-            assert abs(np.trace(el)) < 1e-12
-            assert np.trace(el @ el).real == pytest.approx(2.0, abs=1e-12)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_mutual_orthogonality(self, d):
-        basis = gell_mann_basis(d)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                assert abs(np.trace(basis[i].conj().T @ basis[j])) < 1e-12
-
-    def test_qubit_basis_is_pauli(self):
-        basis = gell_mann_basis(2)
-        np.testing.assert_allclose(basis[1], [[0, 1], [1, 0]], atol=1e-14)
-        np.testing.assert_allclose(basis[2], [[0, -1j], [1j, 0]], atol=1e-14)
-        np.testing.assert_allclose(basis[3], [[1, 0], [0, -1]], atol=1e-14)
+def hessian_rank(cs, seed):
+    """Rank of the dual's Hessian at random multipliers: the number of
+    independent constraints, once the identity on each marginal and the
+    operators on factors two marginals share are counted once."""
+    lam = random_multipliers(np.random.default_rng(seed), cs)
+    d = cs.layout.dim
+    _, _, w, v, ew, z = _gibbs(np.zeros((d, d), dtype=complex), cs, lam)
+    eigenvalues = np.linalg.eigvalsh(_hessian(_unit_stack(cs, v), w, ew, z))
+    return int(np.sum(eigenvalues > 1e-10 * eigenvalues[-1]))
 
 
 class TestConstraints:
     def test_single_qubit_mixed_targets_zero(self):
+        # I/2 on A asks nothing of the maximally mixed start: the mismatch
+        # is zero at Lambda = 0, so the solver stops at once
         cs = expectation_constraints(
-            LAB, (maximally_mixed(SubsystemLayout(("A",), (2,))),)
-        )
-        assert len(cs) == 3
-        assert all(abs(t) < 1e-14 for t in cs.targets)
+            LAB, (maximally_mixed(SubsystemLayout(("A",), (2,))),))
+        assert hessian_rank(cs, 0) == 3
+        solution = solve_maxent(cs)
+        assert solution.iterations == 1
+        assert solution.residual < 1e-15
+        np.testing.assert_array_equal(solution.multipliers[0], np.zeros((2, 2)))
+        np.testing.assert_allclose(solution.state.matrix, np.eye(4) / 4, atol=1e-15)
 
     def test_pair_count(self, rng):
+        # a 4 x 4 multiplier: 16 entries, less the identity
         marg = sample_density(LAB, seed=rng)
         cs = expectation_constraints(LAB, (marg,))
-        assert len(cs) == 15
+        assert len(flat_targets(cs)) == 16
+        assert hessian_rank(cs, 1) == 15
 
     def test_tripartite_dedup_count(self, rng):
+        # 15 + 15, less the three operators on B that both marginals carry
         joint = sample_density(L3Q, seed=rng)
         cs = marginal_constraints(MarginalSet(
             L3Q, (joint.marginal(("A", "B")), joint.marginal(("B", "C")))
         ))
-        # 15 + 15 minus the three shared single-B observables
-        assert len(cs) == 27
+        assert len(flat_targets(cs)) == 32
+        assert hessian_rank(cs, 2) == 27
 
     def test_conflicting_targets_rejected(self):
         ab = sample_density(LAB, seed=1)
@@ -148,53 +139,36 @@ class TestConstraints:
         with pytest.raises(ConstraintConflictError):
             expectation_constraints(L3Q, (ab, bc))
 
-    def test_non_hermitian_observable_rejected(self):
-        with pytest.raises(Exception):
-            ConstraintSet(
-                LAB, (np.array([[0.0, 1.0], [0.0, 0.0]]),), (0.0,)
-            )
+    def test_marginals_must_sit_on_the_layout(self):
+        with pytest.raises(LayoutError, match="unknown label"):
+            ConstraintSet(LAB, (maximally_mixed(SubsystemLayout(("C",), (2,))),))
+        with pytest.raises(LayoutError, match="dimension mismatch"):
+            ConstraintSet(LAB, (maximally_mixed(SubsystemLayout(("A",), (3,))),))
 
-    def test_non_hermitian_full_size_observable_rejected(self):
-        op = np.zeros((4, 4))
-        op[0, 1] = 1.0
-        with pytest.raises(MatrixError):
-            ConstraintSet(LAB, (np.eye(4), op), (1.0, 0.0))
-
-    def test_wrong_shape_observable_rejected(self):
-        with pytest.raises(MaxEntError, match=r"\(2, 2\).*\(4, 4\)"):
-            ConstraintSet(LAB, (np.eye(2),), (1.0,))
-
-    def test_stored_as_read_only_stacks(self, rng):
-        cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
-        assert cs.observables.shape == (15, 4, 4)
-        assert cs.targets.shape == (15,)
-        assert not cs.observables.flags.writeable
-        assert not cs.targets.flags.writeable
-        empty = ConstraintSet(LAB, (), ())
-        assert empty.observables.shape == (0, 4, 4)
-        assert empty.targets.shape == (0,)
+    def test_marginals_kept_as_given(self, rng):
+        ab = sample_density(LAB, seed=rng)
+        cs = marginal_constraints(MarginalSet(LAB, [ab]))
+        assert cs.layout == LAB
+        assert cs.marginals == (ab,)
+        assert not hasattr(cs, "observables") and not hasattr(cs, "targets")
 
     @PROPERTY
-    @given(case=assembly_cases())
+    @given(case=constraint_cases())
     @example(case=(  # reversed and non-contiguous label orders
         SubsystemLayout(("A", "B", "C"), (2, 3, 2)),
         [("C", "A"), ("B", "A"), ("A", "C")], 7,
     ))
-    def test_assembly_matches_per_observable_reference(self, case):
+    def test_marginals_naming_factors_in_any_order(self, case):
         layout, labels, seed = case
         joint = sample_density(layout, seed=seed)
-        marginals = [reordered(joint.marginal(l), l) for l in labels]
-        cs = expectation_constraints(layout, marginals)
-
-        key_sets = [set(basis_keys(layout, l)) for l in labels]
-        shared = sum(len(k & set().union(*key_sets[:i])) for i, k in enumerate(key_sets))
-        sizes = [math.prod(layout.dim_of(x) ** 2 for x in l) - 1 for l in labels]
-        assert len(cs) == sum(sizes) - shared
-
-        expected = reference_observables(layout, marginals)
-        np.testing.assert_allclose(cs.observables, np.array(expected), rtol=0, atol=1e-15)
-        traces = np.einsum("kij,ji->k", cs.observables, joint.matrix).real
-        np.testing.assert_allclose(cs.targets, traces, rtol=0, atol=1e-12)
+        in_order = [joint.marginal(l) for l in labels]
+        named = [reordered(m, l) for m, l in zip(in_order, labels)]
+        want = solve_maxent(expectation_constraints(layout, in_order))
+        got = solve_maxent(expectation_constraints(layout, named))
+        assert trace_distance(got.state.matrix, want.state.matrix) < 1e-12
+        for m in in_order:
+            reduced = got.state.marginal(m.labels).matrix
+            assert trace_distance(reduced, m.matrix) < 1e-9
 
         # the first marginal against another state's marginal on the first
         # drawn label set that overlaps it (its own, if no other does)
@@ -205,17 +179,18 @@ class TestConstraints:
                               other.marginal(overlap).matrix) > 1e-6
         with pytest.raises(ConstraintConflictError):
             expectation_constraints(
-                layout, [marginals[0], reordered(other.marginal(b), b)]
+                layout, [named[0], reordered(other.marginal(b), b)]
             )
 
 
 class TestSolver:
     def test_empty_constraints_maximally_mixed(self):
-        solution = solve_maxent(ConstraintSet(LAB, (), ()))
+        solution = solve_maxent(ConstraintSet(LAB, ()))
         assert trace_distance(
             solution.state.matrix, maximally_mixed(LAB).matrix
         ) < 1e-12
         assert solution.log_partition == pytest.approx(math.log(4), abs=1e-12)
+        assert solution.multipliers == ()
 
     def test_full_tomography_recovers_state(self, rng):
         target = sample_density(SubsystemLayout(("A",), (2,)), seed=rng)
@@ -250,33 +225,93 @@ class TestSolver:
         out = solve_maxent(cs).state
         assert von_neumann_entropy(out) >= von_neumann_entropy(joint) - 1e-7
 
+    @pytest.mark.parametrize("edges", [
+        (("A", "B"), ("B", "C"), ("C", "D")),
+        (("A", "B"), ("A", "C"), ("A", "D")),
+    ], ids=["path", "star"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relative_entropy_to_maxent_is_entropy_gap(self, edges, seed):
+        # log sigma = sum_e Lambda_e (x) 1 - log Z and sigma shares rho's
+        # marginals, so Tr rho log sigma = Tr sigma log sigma for any rho
+        rho = sample_density(L4, seed=seed)
+        sigma = solve_maxent(marginal_constraints(
+            MarginalSet(L4, tuple(rho.marginal(e) for e in edges)))).state
+        gap = von_neumann_entropy(sigma) - von_neumann_entropy(rho)
+        assert abs(relative_entropy(rho, sigma) - gap) <= 1e-10
+
+    def test_multipliers_are_the_log_of_the_state(self):
+        # one traceless Hermitian Lambda_e per marginal, in its own label
+        # order: log sigma = sum_e Lambda_e (x) 1 - log Z
+        joint = sample_density(SubsystemLayout(("A", "B", "C"), (2, 3, 2)), seed=5)
+        marginals = (reordered(joint.marginal(("A", "B")), ("B", "A")),
+                     joint.marginal(("B", "C")))
+        solution = solve_maxent(expectation_constraints(joint.layout, marginals))
+        h = -solution.log_partition * np.eye(joint.layout.dim)
+        for marg, lam in zip(marginals, solution.multipliers):
+            assert lam.shape == (marg.layout.dim,) * 2
+            np.testing.assert_array_equal(lam, lam.conj().T)
+            assert abs(np.trace(lam)) < 1e-12
+            h = h + embed(lam, marg.layout, joint.layout)
+        log_sigma = matrix_function(solution.state.matrix, "log")
+        np.testing.assert_allclose(h, log_sigma, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["trace", "overlap"])
+    def test_targets_off_by_rounding_still_solve(self, kind):
+        # BC's trace off one, or its B marginal off AB's, by 5e-10: within
+        # TRACE_TOL and OVERLAP_TOL, so accepted, but no state meets both
+        # marginals exactly.  The solver must not chase that difference
+        # along multipliers that change no state.
+        joint = sample_density(L3Q, seed=3)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        m = bc.matrix.copy()
+        if kind == "trace":
+            m *= 1 + 5e-10
+        else:
+            m += 5e-10 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        off = DensityOperator(bc.layout, m)
+        exact = solve_maxent(expectation_constraints(L3Q, (ab, bc)))
+        near = solve_maxent(expectation_constraints(L3Q, (ab, off)))
+        assert near.residual <= GRAD_TOL
+        assert near.iterations == exact.iterations
+        assert trace_distance(near.state.matrix, exact.state.matrix) < 1e-8
+        assert near.log_partition == pytest.approx(exact.log_partition, abs=1e-8)
+        assert max(np.abs(l).max() for l in near.multipliers) < 10
+
+    def test_unit_stack_matches_embedded_units(self):
+        # v^dagger (E_jk (x) 1) v for a marginal on non-contiguous factors
+        # named out of layout order
+        layout = SubsystemLayout(("A", "B", "C"), (2, 3, 2))
+        sub = SubsystemLayout(("C", "A"), (2, 2))
+        cs = ConstraintSet(layout, (maximally_mixed(sub),))
+        rng = np.random.default_rng(81)
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12))
+                            + 1j * rng.standard_normal((12, 12)))
+        units = np.eye(16).reshape(16, 4, 4)  # E_jk at row 4 j + k
+        want = [v.conj().T @ embed(e, sub, layout) @ v for e in units]
+        np.testing.assert_allclose(_unit_stack(cs, v), want, rtol=0, atol=1e-14)
+
     def test_gradient_matches_finite_differences(self):
+        # directional: Tr((Tr_rest rho - rho_e) Delta) against the dual's
+        # central difference along a random Hermitian Delta
         rng = np.random.default_rng(77)
-        layout = SubsystemLayout(("A", "B"), (2, 2))
-        marg = sample_density(layout, seed=rng)
-        cs = expectation_constraints(layout, (marg,))
-        thetas = [np.asarray(t) for t in cs.observables]
-        targets = np.asarray(cs.targets)
-        base = np.zeros((4, 4), dtype=complex)
+        joint = sample_density(L3Q, seed=rng)
+        cs = expectation_constraints(
+            L3Q, (joint.marginal(("A", "B")), reordered(joint.marginal(("B", "C")), "CB")))
+        targets = flat_targets(cs)
+        base = np.zeros((8, 8), dtype=complex)
         eps = 1e-6
+
+        def value(lam):
+            return _dual_value(_gibbs(base, cs, lam)[1], lam, targets)
+
         for _ in range(20):
-            lam = rng.uniform(-0.5, 0.5, len(thetas))
-            rho, log_z, *_ = _gibbs(base, thetas, lam)
-            grad = np.array(
-                [np.sum(rho.conj() * t).real for t in thetas]
-            ) - targets
-            for i in rng.choice(len(lam), size=3, replace=False):
-                up, dn = lam.copy(), lam.copy()
-                up[i] += eps
-                dn[i] -= eps
-                _, lz_u, *_ = _gibbs(base, thetas, up)
-                _, lz_d, *_ = _gibbs(base, thetas, dn)
-                fd = (
-                    _dual_value(lz_u, up, targets)
-                    - _dual_value(lz_d, dn, targets)
-                ) / (2 * eps)
-                scale = max(abs(fd), 1e-3)
-                assert abs(grad[i] - fd) / scale < 1e-5
+            lam = random_multipliers(rng, cs)
+            grad = mismatch(cs, lam)
+            for _ in range(3):
+                delta = random_multipliers(rng, cs)
+                slope = np.vdot(grad, delta).real
+                fd = (value(lam + eps * delta) - value(lam - eps * delta)) / (2 * eps)
+                assert abs(slope - fd) / max(abs(fd), 1e-3) < 1e-5
 
     def test_dual_convexity_spot_check(self):
         rng = np.random.default_rng(78)
@@ -284,73 +319,73 @@ class TestSolver:
         cs = expectation_constraints(
             layout, (sample_density(layout, seed=rng),)
         )
-        thetas = [np.asarray(t) for t in cs.observables]
-        targets = np.asarray(cs.targets)
+        targets = flat_targets(cs)
         base = np.zeros((2, 2), dtype=complex)
 
         def value(lam):
-            _, lz, *_ = _gibbs(base, thetas, lam)
+            _, lz, *_ = _gibbs(base, cs, lam)
             return _dual_value(lz, lam, targets)
 
         for _ in range(20):
-            x = rng.uniform(-1, 1, len(thetas))
-            y = rng.uniform(-1, 1, len(thetas))
+            x = hermitian(rng, 2, 1.0).ravel()
+            y = hermitian(rng, 2, 1.0).ravel()
             mid = value((x + y) / 2)
             assert mid <= (value(x) + value(y)) / 2 + 1e-9
 
     def test_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(80)
-        cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
-        thetas = np.array(cs.observables)
-        targets = np.asarray(cs.targets)
-        base = np.zeros((4, 4), dtype=complex)
-        lam = rng.uniform(-0.5, 0.5, len(thetas))
-        _, _, w, v, ew, z = _gibbs(base, thetas, lam)
-        hess = _hessian(v.conj().T @ thetas @ v, w, ew, z)
+        joint = sample_density(L3Q, seed=rng)
+        cs = expectation_constraints(
+            L3Q, (joint.marginal(("A", "B")), joint.marginal(("B", "C"))))
+        lam = random_multipliers(rng, cs)
+        _, _, w, v, ew, z = _gibbs(np.zeros((8, 8), dtype=complex), cs, lam)
+        hess = _hessian(_unit_stack(cs, v), w, ew, z)
+        np.testing.assert_array_equal(hess, hess.conj().T)
+        assert np.linalg.eigvalsh(hess)[0] > -1e-14
         eps = 1e-5
-        for j in rng.choice(len(lam), size=4, replace=False):
-            up, dn = lam.copy(), lam.copy()
-            up[j] += eps
-            dn[j] -= eps
-            fd = (
-                _gradient(_gibbs(base, thetas, up)[0], thetas, targets)
-                - _gradient(_gibbs(base, thetas, dn)[0], thetas, targets)
-            ) / (2 * eps)
-            np.testing.assert_allclose(hess[:, j], fd, rtol=0, atol=1e-8)
+        for _ in range(4):
+            delta = random_multipliers(rng, cs)
+            fd = (mismatch(cs, lam + eps * delta)
+                  - mismatch(cs, lam - eps * delta)) / (2 * eps)
+            np.testing.assert_allclose(hess @ delta, fd, rtol=0, atol=1e-8)
 
     def test_hessian_matches_pair_loop(self):
-        # reference: the loop over constraint pairs that the stacked
-        # product replaced, on a spectrum without near-degeneracies
+        # reference: a loop over pairs of matrix units, on a spectrum
+        # without near-degeneracies
         rng = np.random.default_rng(79)
         cs = expectation_constraints(LAB, (sample_density(LAB, seed=rng),))
-        thetas = np.array(cs.observables)
-        lam = rng.uniform(-0.5, 0.5, len(thetas))
-        _, _, w, v, ew, z = _gibbs(np.zeros((4, 4), dtype=complex), thetas, lam)
+        lam = random_multipliers(rng, cs)
+        _, _, w, v, ew, z = _gibbs(np.zeros((4, 4), dtype=complex), cs, lam)
         assert np.min(np.diff(w)) > 1e-3
-        tilde = v.conj().T @ thetas @ v
+        tilde = [v.conj().T @ e @ v for e in np.eye(16).reshape(16, 4, 4)]
         dw = w[:, None] - w
         phi = np.where(dw == 0, ew[:, None], (ew[:, None] - ew) / np.where(dw == 0, 1, dw))
-        mean = [np.sum(np.diag(t).real * ew) / z for t in tilde]
-        ref = np.empty((len(tilde), len(tilde)))
+        mean = [np.sum(np.diag(t) * ew) / z for t in tilde]
+        ref = np.empty((16, 16), dtype=complex)
         for i, ti in enumerate(tilde):
             for j, tj in enumerate(tilde):
-                ref[i, j] = np.sum(ti.conj() * phi * tj).real / z - mean[i] * mean[j]
-        np.testing.assert_allclose(_hessian(tilde, w, ew, z), ref, rtol=0, atol=1e-12)
+                ref[i, j] = np.sum(ti.conj() * phi * tj) / z - np.conj(mean[i]) * mean[j]
+        np.testing.assert_allclose(_hessian(_unit_stack(cs, v), w, ew, z), ref,
+                                   rtol=0, atol=1e-12)
 
     def test_hessian_near_degenerate_spectrum(self):
-        # gap 1e-9: (e^a - e^b) / (a - b) keeps only about seven digits
+        # gap 1e-9: (e^a - e^b) / (a - b) keeps only about seven digits.
+        # H is diagonal, so its eigenvectors are the identity
         w = np.array([0.3, 0.3 + 1e-9])
         ew = np.exp(w - w.max())
-        sigma_x = np.array([[[0, 1], [1, 0]]], dtype=complex)
-        hess = _hessian(sigma_x, w, ew, float(ew.sum()))
+        layout = SubsystemLayout(("A",), (2,))
+        stack = _unit_stack(ConstraintSet(layout, (maximally_mixed(layout),)), np.eye(2))
+        hess = _hessian(stack, w, ew, float(ew.sum()))
+        sigma_x = np.array([0, 1, 1, 0], dtype=complex)  # vec of [[0, 1], [1, 0]]
+        curvature = np.vdot(sigma_x, hess @ sigma_x)
         with localcontext() as ctx:
             ctx.prec = 50
             gap = Decimal(w[0]) - Decimal(w[1])
             e0, e1 = gap.exp(), Decimal(1)
             # sigma_x has a zero diagonal, so the mean term vanishes
             exact = 2 * (e0 - e1) / gap / (e0 + e1)
-        assert hess.shape == (1, 1)
-        assert abs(hess[0, 0] / float(exact) - 1) < 1e-12
+        assert hess.shape == (4, 4)
+        assert abs(curvature / float(exact) - 1) < 1e-12
 
 
 class TestBayesianUpdate:
@@ -397,7 +432,7 @@ class TestBayesianUpdate:
         vec = np.zeros(4)
         vec[0] = 1.0
         prior = DensityOperator(LAB, np.outer(vec, vec))
-        cs = ConstraintSet(LAB, (), ())
+        cs = ConstraintSet(LAB, ())
         with pytest.raises(Exception):
             bayesian_update(prior, cs)
 

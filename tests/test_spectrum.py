@@ -245,7 +245,7 @@ class TestSpectrumKept:
         layout = SubsystemLayout(("A",), (2,))
         eig = hermitian_eig(np.diag([0.7, 0.5]).astype(complex))
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator._from_eig(layout, eig)
+            DensityOperator._from_eig(layout, eig, eig.reconstruct())
 
 
 class TestPetzOutputSpectrum:

@@ -25,7 +25,8 @@ from qmctree import (
     von_neumann_entropy,
 )
 from qmctree.fileio import FileFormatError, read_density, write_operator
-from qmctree.states import StateError, overlap_violation
+from qmctree.layout import embed
+from qmctree.states import StateError, overlap_distance, overlap_violation
 
 from conftest import PROPERTY, bell_state, classical_chain, ghz_state, random_conditional
 
@@ -61,13 +62,18 @@ class TestDensityOperator:
         with pytest.raises(FileFormatError, match="Hermitian"):
             read_density(path)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_rejects_hermitian_matrix_whose_spectrum_overflows(self):
-        # eigenvalues 0.5 +- 1e308: the symmetrized matrix overflows, its
-        # spectrum is NaN, and a NaN must not pass the negativity floor
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_hermitian_matrix_whose_spectrum_overflows(self, tmp_path):
+        # eigenvalues 0.5 +- 1e308: symmetrized as m/2 + m^dagger/2, the
+        # matrix does not overflow, and the eigenvalue -1e308 refuses it,
+        # in the constructor and in the file reader, with no warning
+        m = np.array([[0.5, 1e308], [1e308, 0.5]])
         with pytest.raises(StateError, match="negative eigenvalue"):
-            DensityOperator(L2, np.array([[0.5, 1e308], [1e308, 0.5]]))
+            DensityOperator(L2, m)
+        path = tmp_path / "overflow.json"
+        write_operator(path, L2, m)
+        with pytest.raises(FileFormatError, match="negative eigenvalue"):
+            read_density(path)
 
     def test_rejects_negative(self):
         with pytest.raises(StateError):
@@ -134,6 +140,19 @@ class TestMarginalSet:
         bc = sample_density(SubsystemLayout(("B", "C"), (2, 2)), seed=2)
         with pytest.raises(StateError):
             MarginalSet(L3Q, (ab, bc))
+
+    def test_overlap_compared_in_one_label_order(self):
+        # two marginals of one state on {A, C}, named in opposite orders:
+        # their matrices differ, their reductions to {A, C} do not
+        layout = SubsystemLayout(("A", "B", "C"), (2, 3, 2))
+        joint = sample_density(layout, seed=4)
+        ac = joint.marginal(("A", "C"))
+        ca_layout = SubsystemLayout(("C", "A"), (2, 2))
+        ca = DensityOperator(ca_layout, embed(ac.matrix, ac.layout, ca_layout))
+        assert trace_distance(ac.matrix, ca.matrix) > 1e-3
+        MarginalSet(layout, (ca, joint.marginal(("A", "B")), ac))
+        assert overlap_distance(ca, ac, ("A", "C")) < 1e-15
+        assert overlap_violation(ac, ca, ("A", "C"), 1e-12) is None
 
 
 def _traceless_direction(rng, d: int, tight: bool) -> np.ndarray:
