@@ -7,6 +7,7 @@ Exit status contract: 0 success (or positive verdict), 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -259,6 +260,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmctree",
@@ -343,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TreeRecoveryError, ConvergenceError, InfeasibleConstraintsError) as err:

@@ -60,12 +60,17 @@ def _layout_from_dict(data: dict, *fields) -> SubsystemLayout:
         raise FileFormatError(f"bad layout: {err}") from err
 
 
-def operator_to_dict(layout: SubsystemLayout, matrix: np.ndarray) -> dict:
+def _checked_matrix(layout: SubsystemLayout, matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     _require(
         matrix.shape == (layout.dim, layout.dim),
         f"matrix shape {matrix.shape} does not match layout dim {layout.dim}",
     )
+    return matrix
+
+
+def operator_to_dict(layout: SubsystemLayout, matrix: np.ndarray) -> dict:
+    matrix = _checked_matrix(layout, matrix)
     return {
         "labels": list(layout.labels),
         "dims": list(layout.dims),
@@ -85,8 +90,42 @@ def operator_from_dict(data: dict) -> tuple[SubsystemLayout, np.ndarray]:
     return layout, entries.astype(float).view(complex)[..., 0]
 
 
+# the text before each float of a d x d matrix of [re, im] pairs, by its
+# place: the matrix's first, an imaginary part, a real part in a row, a
+# row's first real part; then the same four with the float's minus sign
+_SEPARATORS = np.array(["[[[", ", ", "], [", "]], [[",
+                        "[[[-", ", -", "], [-", "]], [[-"], dtype=object)
+
+
+def _matrix_text(matrix: np.ndarray) -> str:
+    """``json.dumps`` of ``matrix`` as d rows of d [re, im] pairs, byte for
+    byte, with one float text per distinct magnitude rather than per entry
+    (a Hermitian matrix has about half as many): json formats the sorted
+    magnitudes, NaN and Infinity included, and each entry's sign goes into
+    the separator before it."""
+    d = len(matrix)
+    parts = np.stack([matrix.real, matrix.imag], -1).ravel()
+    magnitudes, index = np.unique(np.abs(parts), return_inverse=True)
+    texts = np.array(json.dumps(magnitudes.tolist())[1:-1].split(", "), dtype=object)
+    kind = np.ones(parts.size, dtype=np.uint8)
+    grid = kind.reshape(d, d, 2)
+    grid[:, 1:, 0] = 2
+    grid[1:, 0, 0] = 3
+    grid[0, 0, 0] = 0
+    kind[np.signbit(parts) & ~np.isnan(parts)] += 4  # json writes every NaN unsigned
+    tokens = np.empty((parts.size, 2), dtype=object)
+    tokens[:, 0] = _SEPARATORS[kind]
+    tokens[:, 1] = texts[index]
+    return "".join(tokens.ravel().tolist()) + "]]]"
+
+
 def write_operator(path, layout: SubsystemLayout, matrix: np.ndarray):
-    text = json.dumps(operator_to_dict(layout, matrix)) + "\n"
+    """Write the file that ``json.dumps(operator_to_dict(layout, matrix))``
+    and a newline make, without building its nested lists."""
+    matrix = _checked_matrix(layout, matrix)
+    text = (f'{{"labels": {json.dumps(list(layout.labels))}, '
+            f'"dims": {json.dumps(list(layout.dims))}, '
+            f'"matrix": {_matrix_text(matrix)}}}\n')
     try:
         with open(path, "w") as fh:
             fh.write(text)

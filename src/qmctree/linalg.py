@@ -59,12 +59,17 @@ class HermitianEig:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+def _hermitian_part(op: np.ndarray) -> np.ndarray:
+    """(op + op^dagger) / 2, halved first: that cannot overflow, and is
+    exact for all other input."""
+    return op / 2 + op.conj().T / 2
+
+
 def hermitian_eig(op: np.ndarray) -> HermitianEig:
     op = np.asarray(op, dtype=complex)
     if not is_hermitian(op):
         raise MatrixError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(op / 2 + op.conj().T / 2)  # halved first: no overflow
-    return HermitianEig(w, v)
+    return HermitianEig(*np.linalg.eigh(_hermitian_part(op)))
 
 
 def support_cutoff(eigenvalues: np.ndarray) -> float:

@@ -101,7 +101,7 @@ def petz_recover(
     x = _bc_factor(rho_bc, b, z)
     xab = local_product(x, rho_bc.layout, rho_ab.matrix, rho_ab.layout, layout)
     m = local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
-    return _petz_state(m, layout, b)
+    return _petz_state(m, layout, b, _rank_deficient(rho_ab, rho_bc))
 
 
 def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
@@ -111,6 +111,9 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
     Only the spectrum is taken, and ``eig`` is left to first use, unless
     ``decompose`` is set or an eigenvalue is negative: then one ``eigh``
     cuts rounding's negative eigenvalues from ``m`` and the state keeps it.
+    A rank-deficient input gives a rank-deficient output, whose zero
+    eigenvalues rounding mostly leaves negative, so callers set
+    ``decompose`` for it rather than take a spectrum in vain.
     """
     w = v = None
     if not decompose:
@@ -185,8 +188,7 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
     """The report and theta theta^dagger (the t = 0 Petz output) on ``target``."""
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     marg_res = overlap_distance(rho_ab, rho_bc, b)
-    # rho_B = Tr_C rho_BC is full rank whenever rho_BC is
-    rank_deficient = not (rho_ab.is_full_rank() and rho_bc.is_full_rank())
+    rank_deficient = _rank_deficient(rho_ab, rho_bc)
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
     y = _bc_factor(rho_bc, b, 0.5)
@@ -200,6 +202,12 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
     verdict = marg_res <= eps_m and norm_res <= eps_n
     report = CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n)
     return report, tt
+
+
+def _rank_deficient(rho_ab: DensityOperator, rho_bc: DensityOperator) -> bool:
+    """Whether either marginal is rank deficient, read from the spectra
+    they keep (rho_B = Tr_C rho_BC is full rank whenever rho_BC is)."""
+    return not (rho_ab.is_full_rank() and rho_bc.is_full_rank())
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +311,9 @@ def best_pair_mutual_info(
     order = chains_in_tie_order(labels)
     scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
     best = best_in_tie_order(order, scores.__getitem__)
-    _, b, _, layout = compose_layouts(*(marginals[p] for p in chain_pairs(best)))
-    estimator = _petz_state(outputs[best], layout, b).state
+    ab, bc = (marginals[p] for p in chain_pairs(best))
+    _, b, _, layout = compose_layouts(ab, bc)
+    estimator = _petz_state(outputs[best], layout, b, _rank_deficient(ab, bc)).state
     return PairSelection(chain_discarded(best), best, scores, estimator)
 
 

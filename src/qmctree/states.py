@@ -20,8 +20,8 @@ from .layout import (
 )
 from .linalg import (
     HermitianEig,
+    _hermitian_part,
     frobenius,
-    hermitian_eig,
     is_hermitian,
     support_cutoff,
     trace_distance,
@@ -63,10 +63,10 @@ class DensityOperator:
         self._validate(np.asarray(self.matrix, dtype=complex))
 
     @classmethod
-    def _checked(cls, layout, m, w=None, floor=NEGATIVITY_TOL) -> "DensityOperator":
-        """``cls(layout, m)`` with negative eigenvalues down to ``-floor``
-        allowed.  A known spectrum ``w`` means ``m`` is Hermitian by
-        construction: its Hermiticity is not tested again."""
+    def _checked(cls, layout, m, w, floor=NEGATIVITY_TOL) -> "DensityOperator":
+        """``cls(layout, m)`` for an ``m`` that is Hermitian by construction,
+        with spectrum ``w``: Hermiticity is not tested again, and negative
+        eigenvalues down to ``-floor`` are allowed."""
         state = object.__new__(cls)
         object.__setattr__(state, "layout", layout)
         state._validate(m, w, floor)
@@ -90,8 +90,7 @@ class DensityOperator:
         if w is None:
             if not is_hermitian(m):
                 raise StateError("matrix is not Hermitian within tolerance")
-            # halving first cannot overflow, and is exact for all other input
-            w = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)
+            w = np.linalg.eigvalsh(_hermitian_part(m))
         # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
         if not w[0] >= -floor:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
@@ -107,7 +106,8 @@ class DensityOperator:
     @cached_property
     def eig(self) -> HermitianEig:
         """Eigendecomposition of the matrix, computed on first use."""
-        eig = hermitian_eig(self.matrix)
+        # validation tested Hermiticity: decompose without testing again
+        eig = HermitianEig(*np.linalg.eigh(_hermitian_part(self.matrix)))
         _freeze(eig.eigenvalues, eig.eigenvectors)
         return eig
 
@@ -127,8 +127,10 @@ class DensityOperator:
             # scales with the traced-out dimension d_C
             floor = self.layout.dim // layout.dim * max(
                 NEGATIVITY_TOL, -float(self._spectrum[0]))
+            # the partial trace of a Hermitian matrix is Hermitian
             reduced = partial_trace(self.matrix, self.layout, keep)
-            self._marginals[keep] = self._checked(layout, reduced, floor=floor)
+            self._marginals[keep] = self._checked(
+                layout, reduced, np.linalg.eigvalsh(_hermitian_part(reduced)), floor)
         return self._marginals[keep]
 
     def eigenvalues(self) -> np.ndarray:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qmctree
 from qmctree import (
     DensityOperator,
     QmcSpec,
@@ -95,6 +100,44 @@ class TestFileIO:
         back_layout, back = operator_from_dict(json.loads(text))
         assert back_layout == layout
         np.testing.assert_array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+    @PROPERTY
+    @given(data=st.data(), layout=layouts(max_factors=3))
+    def test_writer_bytes_equal_json_dumps(self, tmp_path_factory, data, layout):
+        d = layout.dim
+        pool = data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+        repeated = st.tuples(st.sampled_from(pool), st.booleans()).map(
+            lambda p: -p[0] if p[1] else p[0])  # one magnitude, either sign
+        parts = (st.sampled_from(self.EDGE_FLOATS + [math.nan, -math.nan,
+                                                     math.inf, -math.inf])
+                 | st.floats() | repeated)
+        pair = data.draw(hnp.arrays(np.float64, (d, d, 2), elements=parts))
+        matrix = pair.view(complex)[..., 0]
+        if data.draw(st.booleans(), label="hermitian"):
+            # each off-diagonal magnitude twice, its imaginary part negated
+            upper = np.triu_indices(d, 1)
+            matrix = np.diag(matrix.diagonal().real).astype(complex)
+            matrix[upper] = pair.view(complex)[..., 0][upper]
+            matrix.T[upper] = matrix[upper].conj()
+        path = tmp_path_factory.mktemp("writer") / "op.json"
+        write_operator(path, layout, matrix)
+        assert path.read_bytes() == (
+            json.dumps(operator_to_dict(layout, matrix)) + "\n").encode()
+        _, back = read_operator(path)
+        if np.isfinite(matrix.view(float)).all():
+            np.testing.assert_array_equal(back.view(np.uint64), matrix.view(np.uint64))
+        else:  # every NaN reads back unsigned
+            np.testing.assert_array_equal(back, matrix)
+
+    def test_writer_bytes_equal_json_dumps_at_d128(self, tmp_path):
+        state = sample_density(SubsystemLayout(tuple("ABCDEFG"), (2,) * 7), seed=128)
+        path = tmp_path / "state.json"
+        write_density(path, state)
+        assert path.read_bytes() == (
+            json.dumps(operator_to_dict(state.layout, state.matrix)) + "\n").encode()
+        back = read_density(path)
+        np.testing.assert_array_equal(
+            back.matrix.view(np.uint64), state.matrix.view(np.uint64))
 
     @PROPERTY
     @given(layout=layouts(), seed=st.integers(0, 2**32 - 1))
@@ -537,6 +580,56 @@ class TestToleranceFlags:
         args = build_parser().parse_args(["check", "ab.json", "bc.json"])
         assert args.tol_marginal == DEFAULT_EPS_MARGINAL
         assert args.tol_normality == DEFAULT_EPS_NORMALITY
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser per process, and no call
+    leaves state in it for the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_marginal_list_not_carried_over(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["sample", "-o", str(first), "--marginal", "A,B"]) == 0
+        assert (tmp_path / "first.json.AB.json").exists()
+        capsys.readouterr()
+        assert main(["sample", "-o", str(second)]) == 0
+        assert list(parse_report(capsys.readouterr().out)) == ["output"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "first.json", "first.json.AB.json", "second.json"]
+
+    @pytest.mark.parametrize("before, code", [
+        (["check"], 2),
+        (["--version"], 0),
+    ], ids=["usage_error", "version"])
+    def test_call_after_exit_as_in_fresh_process(self, qmc_files, capsys, before, code):
+        _, ab, bc = qmc_files
+        with pytest.raises(SystemExit) as exc:
+            main(before)
+        assert exc.value.code == code
+        capsys.readouterr()
+        got = main(["check", ab, bc])
+        out, err = capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmctree.__file__)))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qmctree.cli", "check", ab, bc],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (got, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got == 0
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == qmctree.__version__ + "\n"
+
+    def test_argv_from_sys_argv(self, qmc_files, monkeypatch, capsys):
+        _, ab, bc = qmc_files
+        monkeypatch.setattr(sys, "argv", ["qmctree", "check", ab, bc])
+        assert main() == 0
+        assert parse_report(capsys.readouterr().out)["verdict"] == "True"
 
 
 class TestMalformedOperatorFiles:

@@ -19,6 +19,7 @@ from qmctree import (
     QmcSpec,
     QuantumTree,
     SubsystemLayout,
+    best_pair_mutual_info,
     check_qmc_compatibility,
     learn_tree,
     petz_recover,
@@ -34,7 +35,7 @@ from qmctree.layout import LayoutError, embed, local_product
 from qmctree.linalg import HermitianEig, hermitian_eig, matrix_function, support_cutoff
 from qmctree.recovery import compose_layouts
 
-from conftest import PROPERTY, layouts, local_cases
+from conftest import PROPERTY, classical_chain, layouts, local_cases
 
 
 @pytest.fixture
@@ -279,6 +280,51 @@ class TestPetzOutputSpectrum:
         assert out.eig is out.eig
         assert solver_calls == Counter(eigh=1)
         np.testing.assert_allclose(out.eig.reconstruct(), out.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_rank_deficient_recovery_takes_one_eigh(self, solver_calls, t):
+        # a pure joint's marginals are rank deficient, and so is their Petz
+        # output: it is decomposed at once, without a spectrum first
+        joint = sample_density(SubsystemLayout(("A", "B", "C"), (2, 2, 2)),
+                               rank=1, seed=43)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        assert not ab.is_full_rank()
+        petz_recover(ab, bc, t=t)
+        solver_calls.clear()
+        out = petz_recover(ab, bc, t=t).state
+        assert solver_calls == Counter(eigh=1)
+        assert "eig" in vars(out)  # kept from that eigh
+
+    def test_full_rank_inputs_cut_after_the_spectrum(self, solver_calls):
+        # a pure joint mixed with 1e-10 of the identity has full-rank
+        # marginals, yet rounding leaves output eigenvalues below zero: the
+        # spectrum comes first, then one eigh cuts them
+        layout = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
+        pure = sample_density(layout, rank=1, seed=44).matrix
+        joint = DensityOperator(layout, (1 - 1e-10) * pure + 1e-10 * np.eye(8) / 8)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        assert ab.is_full_rank() and bc.is_full_rank()
+        petz_recover(ab, bc)
+        solver_calls.clear()
+        out = petz_recover(ab, bc).state
+        assert solver_calls == Counter(eigvalsh=1, eigh=1)
+        assert "eig" in vars(out)
+        assert out.eigenvalues()[0] >= 0.0
+
+    def test_rank_deficient_selection_takes_one_eigh(self, solver_calls):
+        # p(b = 0 | a = 1) = 0 makes the AB marginal rank deficient, and the
+        # selected chain keeps it
+        joint = classical_chain([0.6, 0.4], [[0.7, 0.3], [0.0, 1.0]],
+                                [[0.2, 0.8], [0.5, 0.5]])
+        assert not joint.marginal(("A", "B")).is_full_rank()
+        selection = best_pair_mutual_info(joint)
+        assert selection.discarded_pair != ("A", "B")
+        solver_calls.clear()
+        again = best_pair_mutual_info(joint)
+        # one overlap trace distance per chain, one eigh for the estimator
+        assert solver_calls == Counter(eigvalsh=3, eigh=1)
+        np.testing.assert_array_equal(again.estimator.matrix,
+                                      selection.estimator.matrix)
 
     def test_cut_outputs_match_eigh_and_cut(self):
         # a pure joint's Petz outputs have rank 2 of 8, and rounding leaves
