@@ -16,10 +16,10 @@ from . import __version__
 from .fileio import read_density, read_tree_description, write_density
 from .layout import SubsystemLayout
 from .maxent import (
+    ConstraintSet,
     ConvergenceError,
     InfeasibleConstraintsError,
     diagram_commutes,
-    marginal_constraints,
     solve_maxent,
 )
 from .recovery import (
@@ -35,13 +35,7 @@ from .recovery import (
     compose_layouts,
     petz_recover,
 )
-from .states import (
-    MarginalSet,
-    QmcSpec,
-    pairwise_marginals,
-    sample_density,
-    sample_qmc,
-)
+from .states import QmcSpec, pairwise_marginals, sample_density, sample_qmc
 from .tree import (
     TreeRecoveryError,
     delta_s,
@@ -99,9 +93,7 @@ def cmd_recover(args) -> int:
         _emit([("pre_normalization_trace", result.pre_normalization_trace)])
     else:
         _, _, _, layout = compose_layouts(rho_ab, rho_bc)
-        constraints = marginal_constraints(
-            MarginalSet(layout, (rho_ab, rho_bc), overlap_tol=args.tol_marginal)
-        )
+        constraints = ConstraintSet(layout, (rho_ab, rho_bc), args.tol_marginal)
         solution = solve_maxent(constraints)
         state = solution.state
         _emit([

@@ -11,20 +11,14 @@ maximization, H0 = log prior for minimum-relative-entropy updating).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .layout import SubsystemLayout, embed
-from .linalg import spectral_function, trace_distance
+from .linalg import HermitianEig, spectral_function, trace_distance
 from .recovery import compose_layouts
-from .states import (
-    OVERLAP_TOL,
-    DensityOperator,
-    MarginalSet,
-    maximally_mixed,
-    overlap_conflict,
-)
+from .states import OVERLAP_TOL, DensityOperator, MarginalSet, overlap_conflict
 
 
 class MaxEntError(ValueError):
@@ -53,23 +47,24 @@ class ConstraintSet:
     """Marginals on factors of a joint layout that the state must reproduce.
 
     Construction checks each marginal's labels and dimensions against the
-    layout (LayoutError) and every overlapping pair within ``OVERLAP_TOL``
+    layout (LayoutError) and every overlapping pair within ``overlap_tol``
     trace distance on the factors they share (ConstraintConflictError).
     """
 
     layout: SubsystemLayout
     marginals: tuple[DensityOperator, ...]
+    overlap_tol: float = field(default=OVERLAP_TOL, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        conflict = overlap_conflict(self.layout, self.marginals, OVERLAP_TOL)
+        conflict = overlap_conflict(self.layout, self.marginals, self.overlap_tol)
         if conflict is not None:
             raise ConstraintConflictError(conflict)
 
 
 def marginal_constraints(marginals: MarginalSet) -> ConstraintSet:
     """Constraints pinning each marginal of the parent layout."""
-    return ConstraintSet(marginals.parent, marginals.marginals)
+    return ConstraintSet(marginals.parent, marginals.marginals, marginals.overlap_tol)
 
 
 def expectation_constraints(layout: SubsystemLayout, marginals) -> ConstraintSet:
@@ -192,7 +187,7 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
         if null is None:
             # The Hessian's null directions change no state.  Targets whose
             # traces are not exactly one, or that disagree on shared factors
-            # within OVERLAP_TOL, tilt the dual along them, where it has no
+            # within overlap_tol, tilt the dual along them, where it has no
             # minimum.  The tilt is the same at every Lambda: take it out of
             # the targets once, here at Lambda = 0, and keep every step off it.
             hw, hv = np.linalg.eigh(hess)
@@ -244,7 +239,9 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
             f"{iterations} iterations",
             residual=residual,
         )
-    state = DensityOperator(constraints.layout, (rho + rho.conj().T) / 2)
+    # positive, trace one and decomposed by construction: not decomposed again
+    eig = HermitianEig(ew / z, v)  # exp keeps eigh's ascending order
+    state = DensityOperator._from_eig(constraints.layout, eig, (rho + rho.conj().T) / 2)
     multipliers = tuple((l + l.conj().T) / 2 for l in _split(lam, marginals))
     return MaxEntSolution(multipliers, state, log_z, residual, iterations)
 
@@ -301,11 +298,11 @@ def diagram_commutes(
     _, _, _, layout = compose_layouts(rho_ab, rho_bc)
     c_ab = expectation_constraints(layout, (rho_ab,))
     c_bc = expectation_constraints(layout, (rho_bc,))
-    uniform = maximally_mixed(layout)
 
-    sigma1 = bayesian_update(uniform, c_ab)
+    # an update from the maximally mixed state is the max-entropy state
+    sigma1 = solve_maxent(c_ab).state
     sigma2 = bayesian_update(sigma1, c_bc)
-    varrho1 = bayesian_update(uniform, c_bc)
+    varrho1 = solve_maxent(c_bc).state
     varrho2 = bayesian_update(varrho1, c_ab)
     joint = solve_maxent(expectation_constraints(layout, (rho_ab, rho_bc))).state
 

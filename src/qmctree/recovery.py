@@ -22,9 +22,6 @@ from .states import (
 
 DEFAULT_EPS_MARGINAL = 1e-8
 DEFAULT_EPS_NORMALITY = 1e-8
-# how far an estimator's marginals may stray from the marginals it was
-# built from before an entropy bookkeeping report refuses it
-ESTIMATOR_MARGINAL_TOL = 1e-6
 # selection scores and tree weights (nats) closer than this count as
 # equal, so the documented tie order, not rounding, decides between them
 TIE_TOL = 1e-10
@@ -320,6 +317,22 @@ def best_pair_mutual_info(
 # ---------------------------------------------------------------------------
 # relative-entropy bookkeeping
 
+# how far an estimator's marginals may stray from the marginals it was
+# built from before an entropy bookkeeping report refuses it
+ESTIMATOR_MARGINAL_TOL = 1e-6
+
+
+def _estimator_conflict(estimator: DensityOperator, marginals) -> str | None:
+    """Why ``estimator`` strays from one of ``marginals`` by more than
+    ESTIMATOR_MARGINAL_TOL in trace distance, or None."""
+    for m in marginals:
+        dist = overlap_violation(m, estimator, m.labels, ESTIMATOR_MARGINAL_TOL)
+        if dist is not None:
+            return (f"estimator violates the {tuple(sorted(m.labels))} "
+                    f"marginal by {dist:.3e}")
+    return None
+
+
 @dataclass(frozen=True)
 class RelativeEntropyGap:
     """Four-term split of S(rho_true || estimator) for a chain X-Y-Z."""
@@ -345,12 +358,10 @@ def relative_entropy_gap(
     chain: tuple[str, str, str],
 ) -> RelativeEntropyGap:
     x, y, z = chain
-    for pair in chain_pairs(chain):
-        dist = overlap_violation(rho_true, estimator, pair, ESTIMATOR_MARGINAL_TOL)
-        if dist is not None:
-            raise RecoveryError(
-                f"estimator violates the {pair} marginal by {dist:.3e}"
-            )
+    conflict = _estimator_conflict(
+        estimator, [rho_true.marginal(p) for p in chain_pairs(chain)])
+    if conflict is not None:
+        raise RecoveryError(conflict)
     mi_sum = mutual_information(
         rho_true.marginal(sorted((x, y))), (x,), (y,)
     ) + mutual_information(rho_true.marginal(sorted((y, z))), (y,), (z,))

@@ -39,7 +39,7 @@ class StateError(ValueError):
     """Raised when a candidate density operator violates its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
 
@@ -53,7 +53,7 @@ class DensityOperator:
     reads this state as rho_BC (``recovery._bc_factor``).
     A complex128 ``matrix`` is adopted without a copy and made read-only,
     so pass a copy to keep your own array writable; other dtypes are
-    converted into a new array.
+    converted into a new array.  States compare and hash by identity.
     """
 
     layout: SubsystemLayout
@@ -330,14 +330,12 @@ class QmcSpec:
     """Block structure for a tripartite state with zero conditional correlation.
 
     ``blocks`` lists (probability, left dim, right dim) for the direct-sum
-    decomposition of the middle factor; ``basis_rotation`` optionally hides
-    the block structure behind a unitary on that factor.
+    decomposition of the middle factor.
     """
 
     dim_a: int
     dim_c: int
     blocks: tuple[tuple[float, int, int], ...]
-    basis_rotation: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim_a", _dimension(self.dim_a, "dim_a"))
@@ -355,16 +353,6 @@ class QmcSpec:
             raise StateError("block probabilities must be finite, >= 0 and sum to 1")
         if any(dl < 1 or dr < 1 for _, dl, dr in self.blocks):
             raise StateError("block dimensions must be >= 1")
-        if self.basis_rotation is not None:
-            u = np.asarray(self.basis_rotation, dtype=complex)
-            if u.shape != (self.dim_b, self.dim_b):
-                raise StateError(
-                    f"basis rotation shape {u.shape} does not match middle "
-                    f"dimension {self.dim_b}"
-                )
-            if frobenius(u.conj().T @ u - np.eye(self.dim_b)) > 1e-10 * self.dim_b:
-                raise StateError("basis rotation is not unitary")
-            object.__setattr__(self, "basis_rotation", u)
 
     @property
     def dim_b(self) -> int:
@@ -379,20 +367,15 @@ def _dimension(value, name: str) -> int:
     raise StateError(f"{name} must be an integer, got {value!r}")
 
 
-def sample_qmc(
-    spec: QmcSpec,
-    seed=None,
-    labels: tuple[str, str, str] = ("A", "B", "C"),
-) -> DensityOperator:
-    """Assemble a random block-direct-sum state with zero I(A:C|B).
+def sample_qmc(spec: QmcSpec, seed=None) -> DensityOperator:
+    """Assemble a random block-direct-sum state on A, B, C with zero I(A:C|B).
 
-    Each block is a product of two Hilbert-Schmidt samples; unless the spec
-    carries an explicit rotation, a Haar-random unitary on the middle factor
-    hides the block basis.
+    Each block is a product of two Hilbert-Schmidt samples; a Haar-random
+    unitary on the middle factor hides the block basis.
     """
     rng = _rng(seed)
     da, db, dc = spec.dim_a, spec.dim_b, spec.dim_c
-    layout = SubsystemLayout(labels, (da, db, dc))
+    layout = SubsystemLayout(("A", "B", "C"), (da, db, dc))
     full = np.zeros((layout.dim, layout.dim), dtype=complex)
     offset = 0
     for p, dl, dr in spec.blocks:
@@ -406,10 +389,7 @@ def sample_qmc(
         lift = np.kron(np.kron(np.eye(da), iso), np.eye(dc))
         full += p * (lift @ block @ lift.conj().T)
         offset += dl * dr
-    u = spec.basis_rotation
-    if u is None:
-        u = random_unitary(db, rng)
-    ub = np.kron(np.kron(np.eye(da), u), np.eye(dc))
+    ub = np.kron(np.kron(np.eye(da), random_unitary(db, rng)), np.eye(dc))
     full = ub @ full @ ub.conj().T
     full = (full + full.conj().T) / 2
     return DensityOperator(layout, full / np.trace(full).real)
@@ -493,8 +473,6 @@ def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:
         weight = marg[root][x[root]]
         for v in order[1:]:
             weight *= cond[v][x[parent_of[v]], x[v]]
-        if weight == 0.0:
-            continue
         factors = []
         for l in layout.labels:
             if l in internal:

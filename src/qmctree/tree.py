@@ -9,7 +9,7 @@ from .layout import LayoutError, SubsystemLayout, spanning_tree_problem, union_f
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
     DEFAULT_EPS_NORMALITY,
-    ESTIMATOR_MARGINAL_TOL,
+    _estimator_conflict,
     _normality_test,
     _petz_state,
     best_in_tie_order,
@@ -18,7 +18,7 @@ from .states import (
     OVERLAP_TOL,
     DensityOperator,
     mutual_information,
-    overlap_violation,
+    overlap_conflict,
     pairwise_marginals,
     relative_entropy,
     von_neumann_entropy,
@@ -66,20 +66,10 @@ class QuantumTree:
         for (a, b), m in marginals.items():
             if set(m.labels) != {a, b}:
                 raise TreeError(f"marginal for edge {a}-{b} is on {m.labels}")
-            for l in (a, b):
-                if m.layout.dim_of(l) != self.layout.dim_of(l):
-                    raise TreeError(f"dimension mismatch on {l!r}")
-        # shared single-vertex reductions of incident edges must agree
-        for v in self.layout.labels:
-            incident = [e for e in edges if v in e]
-            ref = marginals[incident[0]].marginal((v,))
-            for e in incident[1:]:
-                dist = overlap_violation(ref, marginals[e], (v,), OVERLAP_TOL)
-                if dist is not None:
-                    raise TreeError(
-                        f"edges {incident[0]} and {e} disagree on vertex {v!r}: "
-                        f"trace distance {dist:.3e}"
-                    )
+        # edges sharing a vertex must agree on it
+        conflict = overlap_conflict(self.layout, tuple(marginals.values()), OVERLAP_TOL)
+        if conflict is not None:
+            raise TreeError(conflict)
 
     def degree(self, v: str) -> int:
         return sum(v in e for e in self.edges)
@@ -221,12 +211,9 @@ def delta_s(
     estimator entropy, with its leaf-peeling conditional terms."""
     if set(estimator.labels) != set(tree.layout.labels):
         raise LayoutError("estimator labels do not match the tree")
-    for edge, marg in tree.edge_marginals.items():
-        dist = overlap_violation(estimator, marg, edge, ESTIMATOR_MARGINAL_TOL)
-        if dist is not None:
-            raise TreeError(
-                f"estimator violates the {edge} marginal by {dist:.3e}"
-            )
+    conflict = _estimator_conflict(estimator, tree.edge_marginals.values())
+    if conflict is not None:
+        raise TreeError(conflict)
     value = sum(von_neumann_entropy(m) for m in tree.edge_marginals.values())
     for v in tree.layout.labels:
         value -= (tree.degree(v) - 1) * von_neumann_entropy(tree.vertex_marginal(v))
@@ -281,7 +268,6 @@ def learn_tree(
     layout: SubsystemLayout | None = None,
     eps_m: float = DEFAULT_EPS_MARGINAL,
     eps_n: float = DEFAULT_EPS_NORMALITY,
-    strict: bool = True,
 ) -> LearnedTree:
     """Learn the maximum-weight spanning tree from pairwise mutual
     informations and recover its joint estimator.
@@ -307,12 +293,7 @@ def learn_tree(
     weights = WeightedEdgeList.from_dict(layout.labels, mi)
     edges = chow_liu_tree(weights)
     tree = QuantumTree(layout, edges, {e: marginals[e] for e in edges})
-    try:
-        estimator = tree_recover(tree, eps_m, eps_n, strict=strict).state
-    except TreeRecoveryError as err:
-        raise TreeRecoveryError(
-            f"recovery failed on edge {err.edge}: {err}", err.edge, err.report
-        ) from err
+    estimator = tree_recover(tree, eps_m, eps_n).state
     ds = delta_s(tree, estimator)
 
     gap = None

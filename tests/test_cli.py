@@ -207,6 +207,34 @@ def generic_files(tmp_path):
     return state, str(ab), str(bc)
 
 
+@pytest.fixture
+def shifted_files(tmp_path):
+    """rho_AB and (rho_B + 2e-6 Z) (x) sigma_C: the two disagree on B by
+    2e-6 in trace distance."""
+    ab = sample_density(SubsystemLayout(("A", "B"), (2, 2)), seed=107)
+    sigma = sample_density(SubsystemLayout(("C",), (2,)), seed=108)
+    rho_b = ab.marginal(("B",)).matrix + 2e-6 * np.diag([1.0, -1.0])
+    bc = DensityOperator(SubsystemLayout(("B", "C"), (2, 2)),
+                         np.kron(rho_b, sigma.matrix))
+    paths = tmp_path / "sab.json", tmp_path / "sbc.json"
+    write_density(paths[0], ab)
+    write_density(paths[1], bc)
+    return tuple(map(str, paths))
+
+
+@pytest.fixture
+def bell_files(tmp_path):
+    """Bell projectors on AB and on BC: both reduce to I/2 on B, but no
+    joint state has both (monogamy of entanglement)."""
+    vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    paths = []
+    for labels in (("A", "B"), ("B", "C")):
+        paths.append(tmp_path / f"bell{''.join(labels)}.json")
+        write_density(paths[-1], DensityOperator(SubsystemLayout(labels, (2, 2)),
+                                                 np.outer(vec, vec)))
+    return tuple(map(str, paths))
+
+
 class TestCheck:
     def test_qmc_exit_zero(self, qmc_files, capsys):
         _, ab, bc = qmc_files
@@ -262,6 +290,27 @@ class TestRecover:
         assert main(["recover", str(pa), str(pb), "-o",
                      str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("method", ["petz", "maxent"])
+    def test_tol_marginal_decides_the_overlap(self, shifted_files, tmp_path,
+                                              capsys, method):
+        out = str(tmp_path / "out.json")
+        argv = ["recover", *shifted_files, "--method", method, "-o", out]
+        assert main(argv + ["--tol-marginal", "1e-3"]) == 0
+        got, ab = read_density(out), read_density(shifted_files[0])
+        assert trace_distance(got.marginal(("B",)).matrix,
+                              ab.marginal(("B",)).matrix) < 1e-5
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "trace distance 2.000e-06" in capsys.readouterr().err
+
+    def test_maxent_without_joint_exit_one(self, bell_files, tmp_path, capsys):
+        assert main(["recover", *bell_files, "--method", "maxent",
+                     "-o", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out.json").exists()
+
     def test_zero_pre_normalization_trace_exit_two(self, tmp_path, capsys):
         # rho_AB = |01><01| and rho_BC = |00><00|: the map sends rho_AB to 0
         paths = []
@@ -310,6 +359,15 @@ class TestSelect:
         report = parse_report(captured.out)
         assert report["rule"] == "min_entropy"
         assert "falling back" in captured.err
+
+    def test_joint_output_written(self, tmp_path, capsys):
+        state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=109)
+        joint, out = tmp_path / "joint.json", tmp_path / "est.json"
+        write_density(joint, state)
+        assert main(["select", "--joint", str(joint), "-o", str(out)]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["output"] == str(out)
+        assert trace_distance(read_density(out).matrix, state.matrix) < 1e-6
 
     @pytest.mark.parametrize("labels,dims", [
         ("A,B", "2,2"), ("A,B,C,D", "2,2,2,2"),
@@ -466,6 +524,13 @@ class TestDiagram:
         report = parse_report(capsys.readouterr().out)
         assert float(report["distance_two_orders"]) > 1e-3
 
+    def test_without_joint_exit_one(self, bell_files, capsys):
+        assert main(["diagram", *bell_files]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestCounterexample:
     def test_generic_finds_failures(self, capsys):
@@ -485,6 +550,12 @@ class TestCounterexample:
         assert main(["counterexample", "--samples", "0"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["failure_frequency"] == "0"
+
+    @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--dims", "2,2"]],
+                             ids=["negative_samples", "two_factors"])
+    def test_bad_arguments_exit_two(self, capsys, argv):
+        assert main(["counterexample", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_deterministic_under_seed(self, capsys):
         main(["counterexample", "--samples", "10", "--seed", "3"])

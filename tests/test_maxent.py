@@ -139,6 +139,20 @@ class TestConstraints:
         with pytest.raises(ConstraintConflictError):
             expectation_constraints(L3Q, (ab, bc))
 
+    def test_overlap_tolerance_carried_from_the_marginal_set(self):
+        # the B marginals differ by 2e-6 in trace distance
+        ab = sample_density(LAB, seed=3)
+        rho_b = ab.marginal(("B",)).matrix + 2e-6 * np.diag([1.0, -1.0])
+        bc = DensityOperator(SubsystemLayout(("B", "C"), (2, 2)),
+                             np.kron(rho_b, np.eye(2) / 2))
+        with pytest.raises(ConstraintConflictError, match="2.000e-06"):
+            ConstraintSet(L3Q, (ab, bc))
+        cs = marginal_constraints(MarginalSet(L3Q, (ab, bc), overlap_tol=1e-5))
+        assert cs.overlap_tol == 1e-5
+        assert cs == ConstraintSet(L3Q, (ab, bc), 1e-3)  # not compared
+        solution = solve_maxent(cs)
+        assert solution.residual <= 1e-6
+
     def test_marginals_must_sit_on_the_layout(self):
         with pytest.raises(LayoutError, match="unknown label"):
             ConstraintSet(LAB, (maximally_mixed(SubsystemLayout(("C",), (2,))),))
@@ -191,6 +205,16 @@ class TestSolver:
         ) < 1e-12
         assert solution.log_partition == pytest.approx(math.log(4), abs=1e-12)
         assert solution.multipliers == ()
+
+    def test_state_keeps_the_solver_decomposition(self, rng):
+        joint = sample_density(L3Q, seed=rng)
+        cs = ConstraintSet(L3Q, (joint.marginal(("A", "B")), joint.marginal(("B", "C"))))
+        state = solve_maxent(cs).state
+        assert "eig" in vars(state)  # the cached property is filled
+        np.testing.assert_allclose(state.eig.reconstruct(), state.matrix, atol=1e-12)
+        np.testing.assert_array_equal(state.eigenvalues(), state.eig.eigenvalues)
+        w = np.linalg.eigvalsh(state.matrix)
+        np.testing.assert_allclose(state.eigenvalues(), w, atol=1e-12)
 
     def test_full_tomography_recovers_state(self, rng):
         target = sample_density(SubsystemLayout(("A",), (2,)), seed=rng)

@@ -112,6 +112,14 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 9.0
 
+    def test_equality_and_hash_by_identity(self):
+        # an array field has no truth value: states compare as objects
+        a, b = maximally_mixed(L2), maximally_mixed(L2)
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_complex_matrix_adopted_without_copy(self):
         # a complex128 matrix becomes the state's own, read-only, array
         m = np.eye(2, dtype=complex) / 2

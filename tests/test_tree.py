@@ -31,7 +31,7 @@ from qmctree import (
     tree_recover,
     von_neumann_entropy,
 )
-from qmctree.layout import embed
+from qmctree.layout import LayoutError, embed
 from qmctree.linalg import frobenius
 from qmctree.recovery import TIE_TOL
 from qmctree.tree import (
@@ -138,6 +138,20 @@ class TestQuantumTree:
                 [("A", "B"), ("B", "C")],
                 {("A", "B"): ab, ("B", "C"): bc},
             )
+
+    def test_edge_marginal_in_wrong_dimension_rejected(self):
+        joint = sample_density(SubsystemLayout(("A", "B", "C"), (2, 2, 2)), seed=3)
+        ab3 = sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=4)
+        with pytest.raises(LayoutError, match="dimension mismatch for 'B'"):
+            QuantumTree(joint.layout, [("A", "B"), ("B", "C")],
+                        {("A", "B"): ab3, ("B", "C"): joint.marginal(("B", "C"))})
+
+    def test_edge_marginal_on_wrong_labels_rejected(self):
+        joint = sample_density(SubsystemLayout(("A", "B", "C"), (2, 2, 2)), seed=5)
+        with pytest.raises(TreeError, match=r"edge A-B is on \('A', 'C'\)"):
+            QuantumTree(joint.layout, [("A", "B"), ("B", "C")],
+                        {("A", "B"): joint.marginal(("A", "C")),
+                         ("B", "C"): joint.marginal(("B", "C"))})
 
     def test_single_vertex_rejected(self):
         with pytest.raises(TreeError, match="need at least two vertices"):
@@ -358,6 +372,14 @@ class TestDeltaS:
         report = delta_s(tree, est)
         cmi = conditional_mutual_information(est, ("A",), ("B",), ("C",))
         assert report.delta_s == pytest.approx(cmi, abs=1e-9)
+
+    def test_estimator_breaking_an_edge_marginal_rejected(self):
+        tree, est = self.make_tree_and_estimator(
+            [("A", "B"), ("B", "C"), ("C", "D")], 25
+        )
+        assert delta_s(tree, est).delta_s == pytest.approx(0.0, abs=1e-7)
+        with pytest.raises(TreeError, match=r"violates the \('A', 'B'\) marginal"):
+            delta_s(tree, sample_density(L4, seed=27))
 
     def test_non_markov_estimator_positive(self):
         # a constraint-satisfying estimator for the marginals of a non-tree
