@@ -66,14 +66,10 @@ def _parse_dims(text: str):
     return dims
 
 
-def _tolerances(args) -> tuple[float, float]:
-    return args.tol_marginal, args.tol_normality
-
-
 def cmd_check(args) -> int:
     rho_ab = read_density(args.ab)
     rho_bc = read_density(args.bc)
-    report = check_qmc_compatibility(rho_ab, rho_bc, *_tolerances(args))
+    report = check_qmc_compatibility(rho_ab, rho_bc, args.tol_marginal, args.tol_normality)
     _emit([
         ("marginal_consistency_residual", report.marginal_consistency_residual),
         ("normality_residual", report.normality_residual),
@@ -117,9 +113,8 @@ def cmd_select(args) -> int:
             if len(m.labels) != 2:
                 raise RecoveryError(f"{path}: expected a bipartite marginal")
             marginals[tuple(sorted(m.labels))] = m
-    eps_m, eps_n = _tolerances(args)
     try:
-        selection = best_pair_mutual_info(marginals, eps_m, eps_n)
+        selection = best_pair_mutual_info(marginals, args.tol_marginal, args.tol_normality)
         rule = "mutual_information"
     except IncompatiblePairsError as err:
         print(f"warning: {err}; falling back to min-entropy selection",
@@ -130,7 +125,7 @@ def cmd_select(args) -> int:
             p1, p2 = chain_pairs(chain)
             try:
                 estimators[chain] = petz_recover(
-                    marginals[p1], marginals[p2], eps_m=eps_m
+                    marginals[p1], marginals[p2], eps_m=args.tol_marginal
                 ).state
             except RecoveryError:
                 continue
@@ -147,9 +142,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    eps_m, eps_n = _tolerances(args)
     if args.joint:
-        learned = learn_tree(read_density(args.joint), eps_m=eps_m, eps_n=eps_n)
+        learned = learn_tree(read_density(args.joint), eps_m=args.tol_marginal)
         tree, estimator, ds = learned.tree, learned.estimator, learned.delta_s_report
         for pair, weight in learned.weights.as_dict().items():
             _emit([(f"mutual_info_{''.join(pair)}", weight)])
@@ -164,7 +158,7 @@ def cmd_tree(args) -> int:
             ])
     else:
         tree = read_tree_description(args.tree_file)
-        estimator = tree_recover(tree, eps_m, eps_n).state
+        estimator = tree_recover(tree, args.tol_marginal).state
         ds = delta_s(tree, estimator)
     _emit([("edges", ";".join("".join(e) for e in tree.edges)),
            ("delta_s", ds.delta_s)])
@@ -208,7 +202,7 @@ def cmd_counterexample(args) -> int:
             joint = sample_density(layout, seed=int(sample_seed))
         report = check_qmc_compatibility(
             joint.marginal(("A", "B")), joint.marginal(("B", "C")),
-            *_tolerances(args),
+            args.tol_marginal, args.tol_normality,
         )
         if not report.verdict:
             failures += 1
@@ -295,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("tree", parents=[both_tols],
+    p = sub.add_parser("tree", parents=[marginal_tol],
                        help="learn or recover a spanning-tree estimator")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--joint", metavar="FILE")

@@ -93,12 +93,15 @@ def petz_recover(
                 f"marginals disagree on {b}: trace distance {residual:.3e} "
                 f"> {eps_m:.1e}"
             )
-    z = (1 + 1j * t) / 2
-    # X = rho_BC^z rho_B^-z acts on BC only; the output is (X rho_AB) X^dagger
-    x = _bc_factor(rho_bc, b, z)
-    xab = local_product(x, rho_bc.layout, rho_ab.matrix, rho_ab.layout, layout)
-    m = local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
+    m = _petz_product(rho_ab.matrix, rho_ab.layout, rho_bc, b, t, layout)
     return _petz_state(m, layout, b, _rank_deficient(rho_ab, rho_bc))
+
+
+def _petz_product(m_ab, ab, rho_bc, b, t, layout) -> np.ndarray:
+    """The raw Petz output (X m_ab) X^dagger, X = rho_BC^z rho_B^-z, z = (1 + it)/2."""
+    x = _bc_factor(rho_bc, b, (1 + 1j * t) / 2)
+    xab = local_product(x, rho_bc.layout, m_ab, ab, layout)
+    return local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
 
 
 def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
@@ -121,19 +124,24 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
         if neg.any():
             m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
             w[neg] = 0.0
-    tr = float(np.sum(w))
-    if not tr > 0.0:
-        raise RecoveryError(
-            f"recovered operator has pre-normalization trace {tr:.3e}: "
-            f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
-        )
-    m /= tr
+    tr = _normalize(m, float(np.sum(w)), b)
     w /= tr
     if v is None:
         state = DensityOperator._checked(layout, m, w)
     else:
         state = DensityOperator._from_eig(layout, HermitianEig(w, v), m)
     return RecoveryResult(state, tr)
+
+
+def _normalize(m: np.ndarray, tr: float, b) -> float:
+    """Divide the Petz output ``m`` in place by its raw trace ``tr`` > 0."""
+    if not tr > 0.0:
+        raise RecoveryError(
+            f"recovered operator has pre-normalization trace {tr:.3e}: "
+            f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
+        )
+    m /= tr
+    return tr
 
 
 def _bc_factor(rho_bc: DensityOperator, b, z) -> np.ndarray:
@@ -181,8 +189,8 @@ def check_qmc_compatibility(
     return _normality_test(rho_ab, rho_bc, eps_m, eps_n)[0]
 
 
-def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
-    """The report and theta theta^dagger (the t = 0 Petz output) on ``target``."""
+def _normality_test(rho_ab, rho_bc, eps_m, eps_n):
+    """The report and theta theta^dagger (the t = 0 Petz output)."""
     a, b, c, layout = compose_layouts(rho_ab, rho_bc)
     marg_res = overlap_distance(rho_ab, rho_bc, b)
     rank_deficient = _rank_deficient(rho_ab, rho_bc)
@@ -190,7 +198,7 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n, target=None):
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
     y = _bc_factor(rho_bc, b, 0.5)
     theta = local_product(y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"),
-                          rho_ab.layout, target or layout)
+                          rho_ab.layout, layout)
     scale = max(frobenius(theta) ** 2, SUPPORT_CUTOFF_FACTOR)
     tt = theta @ theta.conj().T
     norm_res = frobenius(tt - theta.conj().T @ theta) / scale

@@ -168,14 +168,18 @@ def overlap_distance(a: DensityOperator, b: DensityOperator, shared) -> float:
 
 def overlap_violation(a: DensityOperator, b: DensityOperator, shared,
                       tol: float) -> float | None:
-    """``overlap_distance(a, b, shared)`` when it exceeds ``tol``, else None.
+    """``overlap_distance(a, b, shared)`` when it exceeds ``tol``, else None."""
+    return distance_violation(*_reductions(a, b, shared), tol)
 
-    For the difference X of the two d x d reductions, Cauchy-Schwarz on
-    its eigenvalues gives 1/2 ||X||_1 <= 1/2 sqrt(d) ||X||_F.  A pair whose
+
+def distance_violation(ma: np.ndarray, mb: np.ndarray, tol: float) -> float | None:
+    """``trace_distance(ma, mb)`` when it exceeds ``tol``, else None.
+
+    For the difference X of the two d x d matrices, Cauchy-Schwarz on its
+    eigenvalues gives 1/2 ||X||_1 <= 1/2 sqrt(d) ||X||_F.  A pair whose
     bound is within ``tol`` is accepted without an eigenvalue solve; only
     a pair whose bound fails pays for the exact distance, which decides.
     """
-    ma, mb = _reductions(a, b, shared)
     if 0.5 * math.sqrt(len(ma)) * frobenius(ma - mb) * _BOUND_MARGIN <= tol:
         return None
     dist = trace_distance(ma, mb)

@@ -5,18 +5,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .layout import LayoutError, SubsystemLayout, spanning_tree_problem, union_find
+from .layout import (
+    LayoutError,
+    SubsystemLayout,
+    embed,
+    partial_trace,
+    spanning_tree_problem,
+    union_find,
+)
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
-    DEFAULT_EPS_NORMALITY,
     _estimator_conflict,
-    _normality_test,
+    _normalize,
+    _petz_product,
     _petz_state,
     best_in_tie_order,
 )
 from .states import (
     OVERLAP_TOL,
     DensityOperator,
+    distance_violation,
     mutual_information,
     overlap_conflict,
     pairwise_marginals,
@@ -30,10 +38,10 @@ class TreeError(ValueError):
 
 
 class TreeRecoveryError(TreeError):
-    def __init__(self, message, edge=None, report=None):
+    def __init__(self, message, edge=None, defect=None):
         super().__init__(message)
         self.edge = edge
-        self.report = report
+        self.defect = defect
 
 
 def _sorted_pair(pair) -> tuple[str, str]:
@@ -148,47 +156,44 @@ def chow_liu_tree(weights: WeightedEdgeList) -> tuple:
 @dataclass(frozen=True)
 class TreeRecoveryResult:
     state: DensityOperator
-    step_reports: tuple  # (edge, CompatReport) per extension step
-    rank_deficient: bool
+    step_defects: tuple  # (edge, trace distance beyond eps_m or None) per step
+    rank_deficient: bool  # some edge marginal is; full-rank edges keep states full rank
     pre_normalization_traces: tuple  # Petz output trace per extension step
 
 
 def tree_recover(
     tree: QuantumTree,
     eps_m: float = DEFAULT_EPS_MARGINAL,
-    eps_n: float = DEFAULT_EPS_NORMALITY,
     strict: bool = True,
 ) -> TreeRecoveryResult:
-    """Recover the joint state by re-attaching peeled leaves via the
-    transpose map; each extension step is gated by the compatibility test."""
+    """Recover the joint state by re-attaching peeled leaves via the t = 0
+    Petz map.  By Petz's theorem a step is QMC-compatible exactly when its
+    output keeps the state it extends, so its defect is their trace distance
+    beyond ``eps_m``, else None.  The parent overlap needs no check: edges
+    agree at OVERLAP_TOL, and each later parent marginal is a gated output."""
     steps, root_edge = tree.peel_order()
     state = tree.edge_marginals[root_edge]
-    reports, traces = [], []
-    rank_deficient = False
+    layout = tree.layout.restrict(root_edge)
+    m = state.matrix if state.layout == layout else embed(state.matrix, state.layout, layout)
+    defects, traces = [], []
     for leaf, parent, _ in reversed(steps):
         edge = _sorted_pair((leaf, parent))
-        edge_marg = tree.edge_marginals[edge]
-        target = tree.layout.restrict(set(state.labels) | {leaf})
-        report, tt = _normality_test(state, edge_marg, eps_m, eps_n, target)
-        reports.append((edge, report))
-        rank_deficient = rank_deficient or report.rank_deficient
-        if strict and not report.verdict:
+        target = tree.layout.restrict(set(layout.labels) | {leaf})
+        sigma = _petz_product(m, layout, tree.edge_marginals[edge], (parent,), 0.0, target)
+        tr = _normalize(sigma, float(sigma.trace().real), (parent,))
+        defect = distance_violation(partial_trace(sigma, target, layout.labels), m, eps_m)
+        defects.append((edge, defect))
+        traces.append(tr)
+        if strict and defect is not None:
             raise TreeRecoveryError(
-                f"extension across edge {edge} fails the compatibility check "
-                f"(marginal residual "
-                f"{report.marginal_consistency_residual:.3e}, normality "
-                f"residual {report.normality_residual:.3e})",
-                edge=edge,
-                report=report,
-            )
-        # tt is the t = 0 Petz output; the report above gates the overlap in
-        # a strict run, and a non-strict run recovers whatever the overlap.
-        # The next step's rho_AB^1/2 and learn_tree's relative entropy read
-        # the state's eigenvectors, so it keeps its eigh
-        result = _petz_state(tt, target, (parent,), decompose=True)
-        traces.append(result.pre_normalization_trace)
-        state = result.state
-    return TreeRecoveryResult(state, tuple(reports), rank_deficient, tuple(traces))
+                f"extension across edge {edge} strays {defect:.3e} in trace "
+                "distance from the state it extends", edge, defect)
+        m, layout = sigma, target
+    if steps:  # one eigh, which learn_tree's relative entropy reuses
+        m += m.conj().T  # twice sigma, Hermitian to the bit: halves the file writer's work
+        state = _petz_state(m, layout, (parent,), decompose=True).state
+    rank_deficient = not all(e.is_full_rank() for e in tree.edge_marginals.values())
+    return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,6 @@ def learn_tree(
     source,
     layout: SubsystemLayout | None = None,
     eps_m: float = DEFAULT_EPS_MARGINAL,
-    eps_n: float = DEFAULT_EPS_NORMALITY,
 ) -> LearnedTree:
     """Learn the maximum-weight spanning tree from pairwise mutual
     informations and recover its joint estimator.
@@ -293,7 +297,7 @@ def learn_tree(
     weights = WeightedEdgeList.from_dict(layout.labels, mi)
     edges = chow_liu_tree(weights)
     tree = QuantumTree(layout, edges, {e: marginals[e] for e in edges})
-    estimator = tree_recover(tree, eps_m, eps_n).state
+    estimator = tree_recover(tree, eps_m).state
     ds = delta_s(tree, estimator)
 
     gap = None

@@ -639,6 +639,7 @@ class TestToleranceFlags:
         ["diagram", "ab.json", "bc.json", "--tol-normality", "1e-3"],
         ["diagram", "ab.json", "bc.json", "--tol-marginal", "1e-3"],
         ["recover", "ab.json", "bc.json", "-o", "x.json", "--tol-normality", "1e-3"],
+        ["tree", "--joint", "x.json", "--tol-normality", "1e-3"],
     ])
     def test_unread_flag_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
