@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import string
 from dataclasses import dataclass
 
@@ -29,7 +30,8 @@ class SubsystemLayout:
     """Ordered, labeled tensor factors with local dimensions.
 
     Equality, hash and repr are those of ``labels`` and ``dims``, so the
-    facts derived from a layout are computed once per layout value.
+    facts derived from a layout are computed once per layout value; the
+    hash is computed once, on construction.
     """
 
     labels: tuple[str, ...]
@@ -37,7 +39,9 @@ class SubsystemLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(
+            _integer(d, "dimension", LayoutError) for d in self.dims))
+        object.__setattr__(self, "_hash", hash((self.labels, self.dims)))
         if len(self.labels) != len(self.dims):
             raise LayoutError(
                 f"{len(self.labels)} labels but {len(self.dims)} dims"
@@ -50,6 +54,12 @@ class SubsystemLayout:
             raise LayoutError(
                 f"total dimension {self.dim} exceeds cap {DEFAULT_DIM_CAP}"
             )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt on unpickling: str hashes vary by process
+        return SubsystemLayout, (self.labels, self.dims)
 
     @functools.cached_property
     def dim(self) -> int:
@@ -76,6 +86,15 @@ class SubsystemLayout:
     def complement(self, labels) -> tuple[str, ...]:
         labels = set(labels)
         return tuple(l for l in self.labels if l not in labels)
+
+
+def _integer(value, name: str, error: type[ValueError]) -> int:
+    """``value`` as an int: integral floats and numpy integers convert, while
+    bools, non-integral or non-finite numbers and non-numbers raise ``error``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -164,29 +183,18 @@ def _embed_plan(sub: SubsystemLayout, target: SubsystemLayout) -> tuple:
     return target.dim // sub.dim, dims, tuple(perm) + tuple(len(perm) + p for p in perm)
 
 
-@dataclass(frozen=True)
-class _ProductPlan:
-    """Axis bookkeeping of ``local_product`` for one layout triple.
-
-    Unit-dimension factors index nothing and are dropped, so no tensor
-    below has more than two axes per factor of dimension > 1.
-    """
-
-    x_dims: tuple  # x as a tensor: rows then columns of its factors
-    x_axes: tuple  # to (X' rows, S rows, X' cols | S cols)
-    x_shape: tuple
-    y_dims: tuple
-    y_axes: tuple  # to (S rows | Y' rows, S cols, Y' cols)
-    y_shape: tuple
-    out_dims: tuple  # the product as a tensor
-    out_axes: tuple  # to the target's rows, then its columns
-
-
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _product_plan(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
-                  target: SubsystemLayout) -> _ProductPlan:
+                  target: SubsystemLayout) -> tuple:
     """How ``local_product`` permutes its operands into one matmul that
-    contracts their shared factors S, and the result into target order."""
+    contracts their shared factors S, and the result into target order:
+    for x, y and their product, the dims of the tensor it is read as, the
+    axis order that permutes that tensor (None for the identity, whose
+    transpose is skipped) and the shape it then takes.
+
+    Unit-dimension factors index nothing and are dropped, so no tensor
+    has more than two axes per factor of dimension > 1.
+    """
     _check_factors(x_sub, target)
     _check_factors(y_sub, target)
     missing = set(target.labels) - set(x_sub.labels) - set(y_sub.labels)
@@ -206,17 +214,35 @@ def _product_plan(x_sub: SubsystemLayout, y_sub: SubsystemLayout,
         row.setdefault(l, i)
         col[l] = i
 
+    def unless_identity(axes):
+        return None if axes == tuple(range(len(axes))) else axes
+
     def axes(labels, order):
         pos = [labels.index(l) for l in order]
-        return tuple(pos) + tuple(len(labels) + p for p in pos)
+        return unless_identity(tuple(pos) + tuple(len(labels) + p for p in pos))
 
     d_x, d_s, d_y = (math.prod(dim[l] for l in g) for g in (x_only, s, y_only))
-    return _ProductPlan(
-        tuple(dim[l] for l in xs) * 2, axes(xs, x_only + s), (d_x * d_s * d_x, d_s),
-        tuple(dim[l] for l in ys) * 2, axes(ys, s + y_only), (d_s, d_y * d_s * d_y),
-        tuple(dim[l] for l in out),
-        tuple(row[l] for l in dim) + tuple(col[l] for l in dim),
+    return (
+        # x: rows then columns of its factors -> (X' rows, S rows, X' cols | S cols)
+        (tuple(dim[l] for l in xs) * 2, axes(xs, x_only + s), (d_x * d_s * d_x, d_s)),
+        # y: rows then columns of its factors -> (S rows | Y' rows, S cols, Y' cols)
+        (tuple(dim[l] for l in ys) * 2, axes(ys, s + y_only), (d_s, d_y * d_s * d_y)),
+        # the product -> the target's rows, then its columns
+        (tuple(dim[l] for l in out),
+         unless_identity(tuple(row[l] for l in dim) + tuple(col[l] for l in dim)),
+         (target.dim, target.dim)),
     )
+
+
+def _apply(plan: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of the complex (d, d) operands ``x`` and ``y`` by ``plan``."""
+    x_plan, y_plan, out_plan = plan
+    return _permuted(_permuted(x, *x_plan) @ _permuted(y, *y_plan), *out_plan)
+
+
+def _permuted(a: np.ndarray, dims, axes, shape) -> np.ndarray:
+    a = a.reshape(dims)
+    return (a if axes is None else a.transpose(axes)).reshape(shape)
 
 
 def local_product(x: np.ndarray, x_sub: SubsystemLayout, y: np.ndarray,
@@ -231,11 +257,7 @@ def local_product(x: np.ndarray, x_sub: SubsystemLayout, y: np.ndarray,
     the shared factors; a transpose then puts the result in target order.
     """
     plan = _product_plan(x_sub, y_sub, target)
-    x = _check_square(x, x_sub).reshape(plan.x_dims).transpose(plan.x_axes)
-    y = _check_square(y, y_sub).reshape(plan.y_dims).transpose(plan.y_axes)
-    xy = x.reshape(plan.x_shape) @ y.reshape(plan.y_shape)
-    return xy.reshape(plan.out_dims).transpose(plan.out_axes).reshape(
-        target.dim, target.dim)
+    return _apply(plan, _check_square(x, x_sub), _check_square(y, y_sub))
 
 
 def union_find(labels):

@@ -7,6 +7,7 @@ below ``SUPPORT_CUTOFF_FACTOR * lambda_max`` count as exact zeros, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,13 @@ class MatrixError(ValueError):
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """``np.linalg.norm(a)`` of a float or complex array, by its own
+    arithmetic without its dispatch."""
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def is_hermitian(op: np.ndarray) -> bool:
@@ -73,8 +80,12 @@ def hermitian_eig(op: np.ndarray) -> HermitianEig:
 
 
 def support_cutoff(eigenvalues: np.ndarray) -> float:
-    top = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return SUPPORT_CUTOFF_FACTOR * top
+    """``SUPPORT_CUTOFF_FACTOR * max|w|`` of an ascending spectrum ``w``, as
+    every ``eigvalsh`` and ``HermitianEig`` spectrum is: max|w| is at one
+    of its ends."""
+    if not eigenvalues.size:
+        return 0.0
+    return SUPPORT_CUTOFF_FACTOR * max(float(eigenvalues[-1]), -float(eigenvalues[0]))
 
 
 # f(eigenvalues on the support, z); each is zero on the kernel
@@ -104,7 +115,7 @@ def spectral_function(
         return (v * np.exp(w)) @ v.conj().T
     if f not in _SUPPORT_FUNCTIONS:
         raise MatrixError(f"unknown matrix function {f!r}")
-    lo, hi = float(w[0]), float(w[-1])  # ascending
+    lo = float(w[0])  # ascending
     if lo < -EIG_NEGATIVITY_TOL:
         raise MatrixError(
             f"{f} requires a positive-semidefinite input; "
@@ -112,9 +123,13 @@ def spectral_function(
         )
     if f == "power" and z is None:
         raise MatrixError("power requires an exponent z")
-    support = w > SUPPORT_CUTOFF_FACTOR * max(hi, -lo)  # support_cutoff(w)
-    g = np.zeros(w.shape, complex if f == "power" else float)
-    g[support] = _SUPPORT_FUNCTIONS[f](w[support], z)
+    cutoff = support_cutoff(w)
+    if lo > cutoff:  # the whole spectrum is on the support
+        g = _SUPPORT_FUNCTIONS[f](w, z)
+    else:
+        support = w > cutoff
+        g = np.zeros(w.shape, complex if f == "power" else float)
+        g[support] = _SUPPORT_FUNCTIONS[f](w[support], z)
     return (v * g) @ v.conj().T
 
 
@@ -122,4 +137,4 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of a - b (both Hermitian)."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return 0.5 * float(np.sum(np.abs(w)))
+    return 0.5 * float(np.abs(w).sum())

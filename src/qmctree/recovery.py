@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, local_product
+from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, _apply, _product_plan
 from .linalg import SUPPORT_CUTOFF_FACTOR, HermitianEig, frobenius, spectral_function
 from .states import (
     DensityOperator,
@@ -39,12 +39,32 @@ def compose_layouts(
     rho_ab: DensityOperator, rho_bc: DensityOperator
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], SubsystemLayout]:
     """Split two overlapping marginals into (A, B, C) label groups."""
-    return _compose(rho_ab.layout, rho_bc.layout)
+    plan = _pair_plan(rho_ab.layout, rho_bc.layout, None)
+    return plan.a, plan.b, plan.c, plan.layout
+
+
+@dataclass(frozen=True)
+class _PairPlan:
+    """The layout facts of a pair of marginals on AB and BC, so that a call
+    on the pair makes one cache lookup."""
+
+    a: tuple[str, ...]
+    b: tuple[str, ...]
+    c: tuple[str, ...]
+    layout: SubsystemLayout  # of the joint state
+    shared: frozenset  # b, as marginals and stored factors are keyed
+    # the local-product plans of rho_BC^z (rho_B^-z (x) 1) on BC, of
+    # X m_AB on the joint, X on BC, and of (X m_AB) X^dagger on the joint
+    factor: tuple
+    left: tuple
+    right: tuple
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _compose(ab: SubsystemLayout, bc: SubsystemLayout):
-    """``compose_layouts`` of marginals on the layouts ``ab`` and ``bc``."""
+def _pair_plan(ab: SubsystemLayout, bc: SubsystemLayout,
+               target: SubsystemLayout | None) -> _PairPlan:
+    """The plan of marginals on the layouts ``ab`` and ``bc``, whose joint
+    is ``target`` or, when that is None, the labels A, B, C in that order."""
     b = set(ab.labels) & set(bc.labels)
     if not b:
         raise LayoutError("marginals share no label")
@@ -57,8 +77,18 @@ def _compose(ab: SubsystemLayout, bc: SubsystemLayout):
         if ab.dim_of(label) != bc.dim_of(label):
             raise LayoutError(f"dimension mismatch on shared label {label!r}")
     labels = a + b + c
-    dims = tuple(ab.dim_of(l) if l in ab.labels else bc.dim_of(l) for l in labels)
-    return a, b, c, SubsystemLayout(labels, dims)
+    layout = SubsystemLayout(
+        labels, tuple(ab.dim_of(l) if l in ab.labels else bc.dim_of(l) for l in labels))
+    if target is not None:
+        if set(target.labels) != set(layout.labels):
+            raise LayoutError("target layout labels do not match the marginals")
+        layout = target
+    return _PairPlan(
+        a, b, c, layout, frozenset(b),
+        _product_plan(bc, bc.restrict(b), bc),
+        _product_plan(bc, ab, layout),
+        _product_plan(layout, bc, layout),
+    )
 
 
 @dataclass(frozen=True)
@@ -81,27 +111,22 @@ def petz_recover(
     marginals must agree on the shared factor within ``eps_m``
     (``math.inf`` accepts any pair), and the raw trace must be positive.
     """
-    a, b, c, layout = compose_layouts(rho_ab, rho_bc)
-    if target is not None:
-        if set(target.labels) != set(layout.labels):
-            raise LayoutError("target layout labels do not match the marginals")
-        layout = target
+    plan = _pair_plan(rho_ab.layout, rho_bc.layout, target)
     if eps_m < math.inf:  # an infinite tolerance accepts any residual
-        residual = overlap_violation(rho_ab, rho_bc, b, eps_m)
+        residual = overlap_violation(rho_ab, rho_bc, plan.shared, eps_m)
         if residual is not None:
             raise RecoveryError(
-                f"marginals disagree on {b}: trace distance {residual:.3e} "
+                f"marginals disagree on {plan.b}: trace distance {residual:.3e} "
                 f"> {eps_m:.1e}"
             )
-    m = _petz_product(rho_ab.matrix, rho_ab.layout, rho_bc, b, t, layout)
-    return _petz_state(m, layout, b, _rank_deficient(rho_ab, rho_bc))
+    m = _petz_product(rho_ab.matrix, rho_bc, t, plan)
+    return _petz_state(m, plan.layout, plan.b, _rank_deficient(rho_ab, rho_bc))
 
 
-def _petz_product(m_ab, ab, rho_bc, b, t, layout) -> np.ndarray:
+def _petz_product(m_ab, rho_bc, t, plan: _PairPlan) -> np.ndarray:
     """The raw Petz output (X m_ab) X^dagger, X = rho_BC^z rho_B^-z, z = (1 + it)/2."""
-    x = _bc_factor(rho_bc, b, (1 + 1j * t) / 2)
-    xab = local_product(x, rho_bc.layout, m_ab, ab, layout)
-    return local_product(xab, layout, x.conj().T, rho_bc.layout, layout)
+    x = _bc_factor(rho_bc, plan, (1 + 1j * t) / 2)
+    return _apply(plan.right, _apply(plan.left, x, m_ab), x.conj().T)
 
 
 def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
@@ -124,7 +149,7 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
         if neg.any():
             m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
             w[neg] = 0.0
-    tr = _normalize(m, float(np.sum(w)), b)
+    tr = _normalize(m, float(w.sum()), b)
     w /= tr
     if v is None:
         state = DensityOperator._checked(layout, m, w)
@@ -144,24 +169,20 @@ def _normalize(m: np.ndarray, tr: float, b) -> float:
     return tr
 
 
-def _bc_factor(rho_bc: DensityOperator, b, z) -> np.ndarray:
+def _bc_factor(rho_bc: DensityOperator, plan: _PairPlan, z) -> np.ndarray:
     """rho_BC^z (rho_B^-z (x) 1_C) on the factors of ``rho_bc``, with
-    rho_B its stored marginal on the shared labels ``b``.
+    rho_B its stored marginal on the shared labels of ``plan``.
 
     The z = 1/2 factor, shared by the normality test and the t = 0 Petz
     map, is kept read-only on ``rho_bc`` per label set; other z are not.
     """
-    key = frozenset(b)
-    if z == 0.5 and key in rho_bc._bc_factors:
-        return rho_bc._bc_factors[key]
-    rho_b = rho_bc.marginal(b)
-    x = local_product(
-        spectral_function(rho_bc.eig, "power", z), rho_bc.layout,
-        spectral_function(rho_b.eig, "power", -z), rho_b.layout, rho_bc.layout,
-    )
+    if z == 0.5 and plan.shared in rho_bc._bc_factors:
+        return rho_bc._bc_factors[plan.shared]
+    x = _apply(plan.factor, spectral_function(rho_bc.eig, "power", z),
+               spectral_function(rho_bc.marginal(plan.shared).eig, "power", -z))
     if z == 0.5:
         x.setflags(write=False)
-        rho_bc._bc_factors[key] = x
+        rho_bc._bc_factors[plan.shared] = x
     return x
 
 
@@ -191,22 +212,22 @@ def check_qmc_compatibility(
 
 def _normality_test(rho_ab, rho_bc, eps_m, eps_n):
     """The report and theta theta^dagger (the t = 0 Petz output)."""
-    a, b, c, layout = compose_layouts(rho_ab, rho_bc)
-    marg_res = overlap_distance(rho_ab, rho_bc, b)
+    plan = _pair_plan(rho_ab.layout, rho_bc.layout, None)
+    marg_res = overlap_distance(rho_ab, rho_bc, plan.shared)
     rank_deficient = _rank_deficient(rho_ab, rho_bc)
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
-    y = _bc_factor(rho_bc, b, 0.5)
-    theta = local_product(y, rho_bc.layout, spectral_function(rho_ab.eig, "sqrt"),
-                          rho_ab.layout, layout)
-    scale = max(frobenius(theta) ** 2, SUPPORT_CUTOFF_FACTOR)
-    tt = theta @ theta.conj().T
-    norm_res = frobenius(tt - theta.conj().T @ theta) / scale
-    sa_res = frobenius(theta - theta.conj().T) / max(frobenius(theta), 1e-300)
+    theta = _apply(plan.left, _bc_factor(rho_bc, plan, 0.5),
+                   spectral_function(rho_ab.eig, "sqrt"))
+    theta_h = theta.conj().T
+    norm = frobenius(theta)
+    scale = max(norm ** 2, SUPPORT_CUTOFF_FACTOR)
+    tt = theta @ theta_h
+    norm_res = frobenius(tt - theta_h @ theta) / scale
+    sa_res = frobenius(theta - theta_h) / max(norm, 1e-300)
 
     verdict = marg_res <= eps_m and norm_res <= eps_n
-    report = CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n)
-    return report, tt
+    return CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n), tt
 
 
 def _rank_deficient(rho_ab: DensityOperator, rho_bc: DensityOperator) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,6 +13,7 @@ from .layout import (
     LayoutError,
     SubsystemLayout,
     _check_factors,
+    _integer,
     embed,
     partial_trace,
     spanning_tree_problem,
@@ -94,7 +94,7 @@ class DensityOperator:
         # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
         if not w[0] >= -floor:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
-        tr = float(np.trace(m).real)
+        tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace is {tr}, expected 1")
         _freeze(m, w)
@@ -119,9 +119,9 @@ class DensityOperator:
         """The reduced state on ``keep``, built on first use and then kept,
         so every caller shares it and its one decomposition."""
         keep = frozenset(keep)
-        if keep == frozenset(self.labels):
-            return self
         if keep not in self._marginals:
+            if keep == frozenset(self.labels):
+                return self
             layout = self.layout.restrict(keep)
             # lambda_min(Tr_C rho) >= d_C lambda_min(rho), so the floor
             # scales with the traced-out dimension d_C
@@ -342,11 +342,11 @@ class QmcSpec:
     blocks: tuple[tuple[float, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dim_a", _dimension(self.dim_a, "dim_a"))
-        object.__setattr__(self, "dim_c", _dimension(self.dim_c, "dim_c"))
+        object.__setattr__(self, "dim_a", _integer(self.dim_a, "dim_a", StateError))
+        object.__setattr__(self, "dim_c", _integer(self.dim_c, "dim_c", StateError))
         object.__setattr__(self, "blocks", tuple(
-            (float(p), _dimension(dl, "block dimension"),
-             _dimension(dr, "block dimension"))
+            (float(p), _integer(dl, "block dimension", StateError),
+             _integer(dr, "block dimension", StateError))
             for p, dl, dr in self.blocks
         ))
         if self.dim_a < 1 or self.dim_c < 1 or not self.blocks:
@@ -361,14 +361,6 @@ class QmcSpec:
     @property
     def dim_b(self) -> int:
         return sum(dl * dr for _, dl, dr in self.blocks)
-
-
-def _dimension(value, name: str) -> int:
-    """``value`` as an int; bools and non-integral numbers raise StateError."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-            and math.isfinite(value) and value == int(value)):
-        return int(value)
-    raise StateError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_qmc(spec: QmcSpec, seed=None) -> DensityOperator:
@@ -418,11 +410,12 @@ def sample_markov_tree(
     Internal vertices carry a random local basis and a classical
     tree-structured distribution over the basis labels; leaves attach
     genuinely mixed quantum states conditioned on the neighboring label.
-    Per separator this is exactly the block form characterizing states
-    with zero conditional correlation, so the global Markov property
-    holds by construction.  (For low-dimensional internal vertices the
-    block decomposition of any Markov state degenerates to exactly this
-    shape, so the construction loses no generality there.)
+    Per separator this is a block form characterizing states with zero
+    conditional correlation, so the global Markov property holds by
+    construction.  It is not every such form: an internal vertex is
+    classical, so no edge at it is ever entangled.  The sampler cannot
+    produce, for instance, rho_A (x) rho_BC with an entangled rho_BC on
+    the path A-B-C, although that state is Markov, qubits included.
     """
     edges = [tuple(sorted(e)) for e in edges]
     problem = spanning_tree_problem(layout.labels, edges)

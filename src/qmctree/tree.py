@@ -17,6 +17,7 @@ from .recovery import (
     DEFAULT_EPS_MARGINAL,
     _estimator_conflict,
     _normalize,
+    _pair_plan,
     _petz_product,
     _petz_state,
     best_in_tie_order,
@@ -179,7 +180,8 @@ def tree_recover(
     for leaf, parent, _ in reversed(steps):
         edge = _sorted_pair((leaf, parent))
         target = tree.layout.restrict(set(layout.labels) | {leaf})
-        sigma = _petz_product(m, layout, tree.edge_marginals[edge], (parent,), 0.0, target)
+        rho_edge = tree.edge_marginals[edge]
+        sigma = _petz_product(m, rho_edge, 0.0, _pair_plan(layout, rho_edge.layout, target))
         tr = _normalize(sigma, float(sigma.trace().real), (parent,))
         defect = distance_violation(partial_trace(sigma, target, layout.labels), m, eps_m)
         defects.append((edge, defect))

@@ -1,14 +1,20 @@
 """Layout algebra: partial trace, identity embedding and local products."""
 
 import dataclasses
+import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import qmctree
 from qmctree import SubsystemLayout, embed, maximally_mixed, partial_trace
-from qmctree.layout import LayoutError, local_product, union_find
+from qmctree.layout import LayoutError, _product_plan, local_product, union_find
 from qmctree.recovery import compose_layouts
 
 from conftest import PROPERTY, layouts, local_cases
@@ -42,6 +48,21 @@ class TestLayout:
     def test_dimension_cap(self):
         with pytest.raises(LayoutError):
             SubsystemLayout(tuple("ABCDEFGHIJKLM"), (2,) * 13)  # 8192 > 4096
+
+    @pytest.mark.parametrize("dim", [
+        2.5, np.float64(2.7), True, np.True_, "3", math.nan, math.inf, None, 2 + 0j,
+    ], ids=["float", "numpy_float", "bool", "numpy_bool", "string", "nan", "inf",
+            "none", "complex"])
+    def test_non_integer_dimension_rejected(self, dim):
+        # the rule QmcSpec applies: no silent int() of a non-integral value
+        with pytest.raises(LayoutError, match="dimension must be an integer"):
+            SubsystemLayout(("A", "B"), (2, dim))
+
+    def test_integral_dimensions_converted(self):
+        layout = SubsystemLayout(("A", "B", "C"), (2.0, np.int64(3), np.float64(1.0)))
+        assert layout.dims == (2, 3, 1)
+        assert all(type(d) is int for d in layout.dims)
+        assert layout == SubsystemLayout(("A", "B", "C"), (2, 3, 1))
 
 
 class TestUnionFind:
@@ -199,6 +220,77 @@ class TestLayoutAlgebra:
         np.testing.assert_allclose(trace_out(second), direct, atol=1e-12)
 
 
+def transposing_product(x, x_sub, y, y_sub, target):
+    """``local_product`` as one matmul whose operands and result are always
+    transposed, its axis orders derived here from the labels."""
+    dim = {l: d for l, d in zip(target.labels, target.dims) if d > 1}
+    xs = [l for l in x_sub.labels if l in dim]
+    ys = [l for l in y_sub.labels if l in dim]
+    s = [l for l in xs if l in ys]
+    x_only = [l for l in xs if l not in s]
+    y_only = [l for l in ys if l not in s]
+
+    def permuted(a, labels, order, rows, cols):
+        pos = [labels.index(l) for l in order]
+        a = a.reshape([dim[l] for l in labels] * 2)
+        return a.transpose(pos + [len(labels) + p for p in pos]).reshape(rows, cols)
+
+    d_x, d_s, d_y = (math.prod(dim[l] for l in g) for g in (x_only, s, y_only))
+    xy = (permuted(x, xs, x_only + s, d_x * d_s * d_x, d_s)
+          @ permuted(y, ys, s + y_only, d_s, d_y * d_s * d_y))
+    out = x_only + s + x_only + y_only + s + y_only
+    rows = [out.index(l) for l in dim]
+    cols = [len(out) - 1 - out[::-1].index(l) for l in dim]
+    return xy.reshape([dim[l] for l in out]).transpose(rows + cols).reshape(
+        target.dim, target.dim)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLocalProductBits:
+    """A transpose whose axis order is the identity is skipped; the
+    product is the same to the bit as one that transposes every time."""
+
+    @staticmethod
+    def operands(rng, x_sub, y_sub):
+        def draw(d):
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x, y = draw(x_sub.dim), draw(y_sub.dim)
+        # C order, F order, and the conjugate-transposed view the Petz map passes
+        return [(x, y), (np.asfortranarray(x), np.asfortranarray(y)),
+                (x.conj().T, y.conj().T)]
+
+    @PROPERTY
+    @given(case=local_cases())
+    def test_equals_always_transposing_product(self, case):
+        target, x_sub, y_sub, seed = case
+        for x, y in self.operands(np.random.default_rng(seed), x_sub, y_sub):
+            assert_same_bits(local_product(x, x_sub, y, y_sub, target),
+                             transposing_product(x, x_sub, y, y_sub, target))
+
+    @pytest.mark.parametrize("x_labels, y_labels, target, dims, skipped", [
+        ("ABC", "BC", "ABC", (2, 3, 2), 3),  # (X rho) X^dagger of the Petz map
+        ("BC", "AB", "ABC", (2, 3, 2), 0),   # X rho
+        ("BC", "B", "BC", (3, 2), 1),        # the BC factor X
+        ("BA", "AC", "ABC", (2, 2, 2), 2),
+        ("AC", "CB", "ABC", (2, 1, 3), 3),   # unit factors index nothing
+        ("ABC", "CBA", "ABC", (2, 1, 2), 2),
+        ("CA", "B", "ABC", (2, 1, 2), 2),
+    ])
+    def test_identity_orders_skipped(self, x_labels, y_labels, target, dims, skipped):
+        target = SubsystemLayout(tuple(target), dims)
+        x_sub, y_sub = (SubsystemLayout(tuple(l), tuple(target.dim_of(c) for c in l))
+                        for l in (x_labels, y_labels))
+        plan = _product_plan(x_sub, y_sub, target)
+        assert [axes for _, axes, _ in plan].count(None) == skipped
+        for x, y in self.operands(np.random.default_rng(7), x_sub, y_sub):
+            assert_same_bits(local_product(x, x_sub, y, y_sub, target),
+                             transposing_product(x, x_sub, y, y_sub, target))
+
+
 class TestEinsumLetterLimit:
     """``partial_trace`` past the 52 einsum letters raises LayoutError, not
     numpy's ValueError (LayoutError subclasses it, so match the type).
@@ -250,6 +342,19 @@ class TestLayoutFactsOnce:
         assert repr(layout) == "SubsystemLayout(labels=('A', 'B'), dims=(2, 3))"
         assert [f.name for f in dataclasses.fields(layout)] == ["labels", "dims"]
         assert layout.dim == 6
+
+    def test_hash_after_unpickling_from_another_process(self):
+        # the hash is kept on the layout, and string hashes vary by process
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(qmctree.__file__))
+        code = ("import pickle, sys; from qmctree import SubsystemLayout; "
+                "sys.stdout.buffer.write(pickle.dumps(SubsystemLayout(('A', 'B'), (2, 3))))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+        layout = pickle.loads(out)
+        assert hash(layout) == hash((("A", "B"), (2, 3)))
+        assert {SubsystemLayout(("A", "B"), (2, 3)): "found"}[layout] == "found"
 
     @PROPERTY
     @given(layout=layouts(), data=st.data())

@@ -4,15 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmctree import HermitianEig, hermitian_eig, matrix_function, trace_distance
 from qmctree.linalg import (
+    _SUPPORT_FUNCTIONS,
     HERMITICITY_TOL,
+    SUPPORT_CUTOFF_FACTOR,
     MatrixError,
     frobenius,
     is_hermitian,
     spectral_function,
+    support_cutoff,
 )
+
+from conftest import PROPERTY
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -200,3 +207,61 @@ class TestSpectralFunctionRankDeficient:
             @ negative.eigenvectors.conj().T,
             atol=1e-12,
         )
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def arrays_in_any_order(draw):
+    """Float or complex arrays of up to three axes, C-ordered, F-ordered,
+    transposed or strided."""
+    shape = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        a = a + 1j * rng.standard_normal(shape)
+    view = draw(st.sampled_from(["C", "F", "T", "strided"]))
+    if view == "F":
+        return np.asfortranarray(a)
+    if view == "T":
+        return a.T
+    return a[..., ::-2] if view == "strided" else a
+
+
+class TestHelpersBitForBit:
+    """The hot-path helpers equal the numpy expressions they replace."""
+
+    @PROPERTY
+    @given(a=arrays_in_any_order())
+    def test_frobenius_is_numpy_norm(self, a):
+        assert frobenius(a) == float(np.linalg.norm(a))
+
+    @PROPERTY
+    @given(w=st.lists(st.floats(-1e3, 1e3), max_size=8),
+           signs=st.sampled_from(["mixed", "nonnegative", "nonpositive"]))
+    def test_support_cutoff_of_ascending_spectrum(self, w, signs):
+        w = np.array(w, dtype=float)
+        w = np.sort({"mixed": w, "nonnegative": np.abs(w), "nonpositive": -np.abs(w)}[signs])
+        top = float(np.max(np.abs(w))) if w.size else 0.0
+        assert support_cutoff(w) == SUPPORT_CUTOFF_FACTOR * top
+
+    @staticmethod
+    def masked(eig, f, z):
+        """``spectral_function`` as it reads every spectrum through its support mask."""
+        w, v = eig.eigenvalues, eig.eigenvectors
+        support = w > support_cutoff(w)
+        g = np.zeros(w.shape, complex if f == "power" else float)
+        g[support] = _SUPPORT_FUNCTIONS[f](w[support], z)
+        return (v * g) @ v.conj().T
+
+    @PROPERTY
+    @given(spectrum=st.lists(st.one_of(st.floats(1e-6, 1.0), st.sampled_from(
+        [0.0, 1e-300, 1e-16, 1e-13])), min_size=1, max_size=6),
+        f=st.sampled_from(sorted(_SUPPORT_FUNCTIONS)), seed=st.integers(0, 2**32 - 1))
+    def test_spectral_function_on_full_support_equals_masked(self, spectrum, f, seed):
+        w = np.sort(np.array(spectrum))
+        eig = TestSpectralFunctionRankDeficient.decomposition(np.random.default_rng(seed), w)
+        assert_same_bits(spectral_function(eig, f, POWER_Z), self.masked(eig, f, POWER_Z))

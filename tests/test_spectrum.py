@@ -219,10 +219,10 @@ class TestSpectrumKept:
     def test_three_step_recovery_work_per_step(self, monkeypatch):
         # per step: one local product forms the BC factor X and two apply
         # it, X rho then (X rho) X^dagger, the Petz output, which is never
-        # rebuilt from its spectrum
+        # rebuilt from its spectrum; each applies a product plan
         _, tree = markov_path_tree(tuple("ABCDE"), seed=21)
         calls = Counter()
-        for owner, name in ((recovery, "local_product"), (recovery, "_bc_factor"),
+        for owner, name in ((recovery, "_apply"), (recovery, "_bc_factor"),
                             (HermitianEig, "reconstruct")):
             real = getattr(owner, name)
 
@@ -233,7 +233,7 @@ class TestSpectrumKept:
             monkeypatch.setattr(owner, name, counted)
         result = tree_recover(tree)
         assert len(result.step_defects) == 3
-        assert calls == Counter(local_product=9, _bc_factor=3)
+        assert calls == Counter(_apply=9, _bc_factor=3)
         assert calls["reconstruct"] == 0
 
     def test_non_strict_recovery_never_checks_overlap(self):
@@ -390,7 +390,8 @@ class TestPairFactsOnce:
             kept[0, 0] = 1.0
         petz_recover(rho_ab, rho_bc, t=-1.3)
         assert list(rho_bc._bc_factors) == [frozenset({"B"})]
-        assert recovery._bc_factor(rho_bc, ("B",), 0.5) is kept
+        plan = recovery._pair_plan(rho_ab.layout, rho_bc.layout, None)
+        assert recovery._bc_factor(rho_bc, plan, 0.5) is kept
         np.testing.assert_array_equal(
             petz_recover(rho_ab, rho_bc).state.matrix, plain.state.matrix)
 

@@ -456,6 +456,22 @@ class TestMarkovSamplers:
             state, ("D",), ("B",), ("A", "C")
         )) <= 1e-8
 
+    def test_entangled_edge_is_markov_but_never_sampled(self):
+        # rho_A (x) rho_BC with an entangled rho_BC is Markov on A-B-C; the
+        # sampler makes B classical, so its rho_BC is always separable
+        def min_partial_transpose_eigenvalue(rho_bc):
+            m = rho_bc.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            return np.linalg.eigvalsh(m)[0]
+
+        werner = 0.9 * bell_state(("B", "C")).matrix + 0.1 * np.eye(4) / 4
+        rho_a = sample_density(L2, seed=5).matrix
+        state = DensityOperator(L3Q, np.kron(rho_a, werner))
+        assert abs(conditional_mutual_information(state, ("A",), ("B",), ("C",))) <= 1e-12
+        assert min_partial_transpose_eigenvalue(state.marginal(("B", "C"))) < -0.1
+        for seed in range(20):
+            sampled = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=seed)
+            assert min_partial_transpose_eigenvalue(sampled.marginal(("B", "C"))) > 0.0
+
     def test_tree_sampler_rejects_unknown_label(self):
         with pytest.raises(StateError, match="unknown vertex"):
             sample_markov_tree(L3Q, [("A", "Z"), ("A", "B")])
