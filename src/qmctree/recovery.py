@@ -9,7 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, _apply, _product_plan
-from .linalg import SUPPORT_CUTOFF_FACTOR, HermitianEig, frobenius, spectral_function
+from .linalg import (
+    SUPPORT_CUTOFF_FACTOR,
+    HermitianEig,
+    _hermitian_part,
+    frobenius,
+    spectral_function,
+)
 from .states import (
     DensityOperator,
     conditional_mutual_information,
@@ -133,39 +139,51 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
                 decompose: bool = False) -> RecoveryResult:
     """The state of the unnormalized Petz output ``m`` (overwritten).
 
-    Only the spectrum is taken, and ``eig`` is left to first use, unless
-    ``decompose`` is set or an eigenvalue is negative: then one ``eigh``
-    cuts rounding's negative eigenvalues from ``m`` and the state keeps it.
-    A rank-deficient input gives a rank-deficient output, whose zero
-    eigenvalues rounding mostly leaves negative, so callers set
-    ``decompose`` for it rather than take a spectrum in vain.
+    ``m`` is first replaced by m + m^dagger, twice the output and Hermitian
+    to the bit, so the one triangle a solver reads stands for the whole
+    matrix.  Unless ``decompose`` is set, one Cholesky factorization then
+    certifies it positive definite, and the state takes its spectrum on
+    first use.  When the certificate fails, or ``decompose`` is set, one
+    ``eigh`` cuts rounding's negative eigenvalues from ``m`` and the state
+    keeps it.  A rank-deficient input gives a rank-deficient output, on
+    which a certificate would fail, so callers set ``decompose`` for it.
     """
-    w = v = None
-    if not decompose:
-        w = np.linalg.eigvalsh(m)  # like eigh, reads one triangle
-    if w is None or w[0] < 0.0:
-        w, v = np.linalg.eigh(m)
-        neg = w < 0.0
-        if neg.any():
-            m -= (v[:, neg] * w[neg]) @ v[:, neg].conj().T
-            w[neg] = 0.0
-    tr = _normalize(m, float(w.sum()), b)
-    w /= tr
-    if v is None:
-        state = DensityOperator._checked(layout, m, w)
-    else:
-        state = DensityOperator._from_eig(layout, HermitianEig(w, v), m)
-    return RecoveryResult(state, tr)
+    m += m.conj().T
+    if not decompose and _positive_definite(m):
+        tr = _positive_trace(float(m.trace().real) / 2, b)
+        m /= 2 * tr
+        return RecoveryResult(DensityOperator._certified(layout, m), tr)
+    w, v = np.linalg.eigh(m)
+    neg = w < 0.0
+    if neg.any():  # a Hermitian update keeps m Hermitian to the bit
+        m -= _hermitian_part((v[:, neg] * w[neg]) @ v[:, neg].conj().T)
+        w[neg] = 0.0
+    tr = _positive_trace(float(w.sum()) / 2, b)
+    m /= 2 * tr
+    w /= 2 * tr
+    return RecoveryResult(DensityOperator._from_eig(layout, HermitianEig(w, v), m), tr)
 
 
-def _normalize(m: np.ndarray, tr: float, b) -> float:
-    """Divide the Petz output ``m`` in place by its raw trace ``tr`` > 0."""
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the Hermitian ``m``, which reads
+    one triangle, certifies it positive definite.  It succeeds only on a
+    numerically positive-definite matrix, with backward error about
+    D u ||m|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 10).  It need not raise on a non-finite ``m``, whose
+    factor then has a non-finite trace."""
+    try:
+        return math.isfinite(np.linalg.cholesky(m).trace().real)
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _positive_trace(tr: float, b) -> float:
+    """``tr``, the raw trace of a Petz output, when it is positive."""
     if not tr > 0.0:
         raise RecoveryError(
             f"recovered operator has pre-normalization trace {tr:.3e}: "
             f"rho_AB has no weight on the support of rho_BC's marginal on {b}"
         )
-    m /= tr
     return tr
 
 
@@ -178,7 +196,8 @@ def _bc_factor(rho_bc: DensityOperator, plan: _PairPlan, z) -> np.ndarray:
     """
     if z == 0.5 and plan.shared in rho_bc._bc_factors:
         return rho_bc._bc_factors[plan.shared]
-    x = _apply(plan.factor, spectral_function(rho_bc.eig, "power", z),
+    x = _apply(plan.factor,
+               rho_bc._sqrt if z == 0.5 else spectral_function(rho_bc.eig, "power", z),
                spectral_function(rho_bc.marginal(plan.shared).eig, "power", -z))
     if z == 0.5:
         x.setflags(write=False)
@@ -217,8 +236,7 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n):
     rank_deficient = _rank_deficient(rho_ab, rho_bc)
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
-    theta = _apply(plan.left, _bc_factor(rho_bc, plan, 0.5),
-                   spectral_function(rho_ab.eig, "sqrt"))
+    theta = _apply(plan.left, _bc_factor(rho_bc, plan, 0.5), rho_ab._sqrt)
     theta_h = theta.conj().T
     norm = frobenius(theta)
     scale = max(norm ** 2, SUPPORT_CUTOFF_FACTOR)

@@ -23,6 +23,7 @@ from .linalg import (
     _hermitian_part,
     frobenius,
     is_hermitian,
+    spectral_function,
     support_cutoff,
     trace_distance,
 )
@@ -43,11 +44,14 @@ class StateError(ValueError):
 class DensityOperator:
     """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
 
-    A state keeps, each formed at most once and read-only: the spectrum
-    computed for validation, which serves every eigenvalue query; one
-    eigendecomposition, ``eig``, formed on first use (a Petz output is
-    given its spectrum, and its eigenvectors only where rounding left an
-    eigenvalue below zero to cut); the reduced state on each label set
+    A state keeps, each formed at most once and read-only: its spectrum,
+    which serves every eigenvalue query (computed to validate an input
+    state or a marginal; a Petz output certified positive definite by a
+    Cholesky factorization takes it on first use, read from ``eig`` when
+    that is formed first); whether it is full rank; one
+    eigendecomposition, ``eig``, formed on first use (an uncertified Petz
+    output and a max-entropy state are given theirs); rho^1/2, formed on
+    first use; the reduced state on each label set
     (``marginal``); and, per shared label set B, the t = 0 Petz factor
     rho^1/2 (rho_B^-1/2 (x) 1) that the normality test also uses when it
     reads this state as rho_BC (``recovery._bc_factor``).
@@ -81,6 +85,17 @@ class DensityOperator:
         object.__setattr__(state, "eig", eig)  # fills the cached property
         return state
 
+    @classmethod
+    def _certified(cls, layout, m) -> "DensityOperator":
+        """``cls(layout, m)`` for an ``m`` that is Hermitian by construction
+        and certified positive definite (its Cholesky factorization
+        succeeded): only the trace is checked, and the spectrum is left to
+        first use."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        state._adopt(m)
+        return state
+
     def _validate(self, m: np.ndarray, w: np.ndarray | None = None,
                   floor: float = NEGATIVITY_TOL):
         if m.shape != (self.layout.dim, self.layout.dim):
@@ -94,14 +109,43 @@ class DensityOperator:
         # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
         if not w[0] >= -floor:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
+        self._adopt(m)
+        _freeze(w)
+        object.__setattr__(self, "_spectrum", w)  # fills the cached property
+
+    def _adopt(self, m: np.ndarray):
+        """Check the trace of ``m``, then freeze it as the matrix, with empty
+        stores for the states and factors derived from it."""
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace is {tr}, expected 1")
-        _freeze(m, w)
+        _freeze(m)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_spectrum", w)
         object.__setattr__(self, "_marginals", {})  # label set -> reduced state
         object.__setattr__(self, "_bc_factors", {})  # label set -> t = 0 BC factor
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The ascending spectrum of a state built without it: read from
+        ``eig`` when that is formed, else one ``eigvalsh``."""
+        if "eig" in vars(self):
+            return self.eig.eigenvalues
+        w = np.linalg.eigvalsh(_hermitian_part(self.matrix))
+        _freeze(w)
+        return w
+
+    @cached_property
+    def _full_rank(self) -> bool:
+        w = self._spectrum
+        return bool(w[0] > support_cutoff(w))
+
+    @cached_property
+    def _sqrt(self) -> np.ndarray:
+        """rho^1/2 (read-only): the normality test reads it as rho_AB^1/2,
+        and the t = 0 Petz factor as rho_BC^1/2."""
+        root = spectral_function(self.eig, "sqrt")
+        _freeze(root)
+        return root
 
     @cached_property
     def eig(self) -> HermitianEig:
@@ -124,9 +168,11 @@ class DensityOperator:
                 return self
             layout = self.layout.restrict(keep)
             # lambda_min(Tr_C rho) >= d_C lambda_min(rho), so the floor
-            # scales with the traced-out dimension d_C
-            floor = self.layout.dim // layout.dim * max(
-                NEGATIVITY_TOL, -float(self._spectrum[0]))
+            # scales with the traced-out dimension d_C; a state built
+            # without its spectrum was certified positive definite
+            w = vars(self).get("_spectrum")
+            floor = self.layout.dim // layout.dim * (
+                NEGATIVITY_TOL if w is None else max(NEGATIVITY_TOL, -float(w[0])))
             # the partial trace of a Hermitian matrix is Hermitian
             reduced = partial_trace(self.matrix, self.layout, keep)
             self._marginals[keep] = self._checked(
@@ -138,8 +184,7 @@ class DensityOperator:
         return self._spectrum
 
     def is_full_rank(self) -> bool:
-        w = self._spectrum
-        return bool(w[0] > support_cutoff(w))
+        return self._full_rank
 
 
 def _freeze(*arrays):

@@ -16,10 +16,10 @@ from .layout import (
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
     _estimator_conflict,
-    _normalize,
     _pair_plan,
     _petz_product,
     _petz_state,
+    _positive_trace,
     best_in_tie_order,
 )
 from .states import (
@@ -182,7 +182,8 @@ def tree_recover(
         target = tree.layout.restrict(set(layout.labels) | {leaf})
         rho_edge = tree.edge_marginals[edge]
         sigma = _petz_product(m, rho_edge, 0.0, _pair_plan(layout, rho_edge.layout, target))
-        tr = _normalize(sigma, float(sigma.trace().real), (parent,))
+        tr = _positive_trace(float(sigma.trace().real), (parent,))
+        sigma /= tr
         defect = distance_violation(partial_trace(sigma, target, layout.labels), m, eps_m)
         defects.append((edge, defect))
         traces.append(tr)
@@ -192,7 +193,6 @@ def tree_recover(
                 "distance from the state it extends", edge, defect)
         m, layout = sigma, target
     if steps:  # one eigh, which learn_tree's relative entropy reuses
-        m += m.conj().T  # twice sigma, Hermitian to the bit: halves the file writer's work
         state = _petz_state(m, layout, (parent,), decompose=True).state
     rank_deficient = not all(e.is_full_rank() for e in tree.edge_marginals.values())
     return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))

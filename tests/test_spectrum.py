@@ -3,10 +3,12 @@ application of B (x) C factors that Petz recovery and the compatibility
 test build on.
 
 Eigendecompositions are counted by wrapping ``numpy.linalg.eigh`` and
-``eigvalsh``, so the counts do not depend on the machine.
+``eigvalsh`` (and Cholesky factorizations by wrapping
+``numpy.linalg.cholesky``), so the counts do not depend on the machine.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -29,6 +31,7 @@ from qmctree import (
     sample_qmc,
     trace_distance,
     tree_recover,
+    von_neumann_entropy,
 )
 from qmctree import recovery, states
 from qmctree.layout import LayoutError, embed, local_product
@@ -55,9 +58,10 @@ def eig_calls(monkeypatch):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Calls to numpy's Hermitian eigensolvers, counted by name."""
+    """Calls to numpy's Hermitian eigensolvers and Cholesky factorization,
+    counted by name."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -252,9 +256,10 @@ class TestSpectrumKept:
 
 
 class TestPetzOutputSpectrum:
-    """A Petz output is given its spectrum only; its eigenvectors are
-    computed on first use, or at once when rounding left an eigenvalue
-    below zero that must be cut."""
+    """A Petz output of full-rank inputs is certified positive definite by
+    one Cholesky factorization, and its spectrum and eigenvectors are
+    computed on first use; when the certificate fails, or an input is rank
+    deficient, one eigh cuts rounding's negative eigenvalues at once."""
 
     L3 = SubsystemLayout(("A", "B", "C"), (2, 3, 2))
 
@@ -273,7 +278,8 @@ class TestPetzOutputSpectrum:
         solver_calls.clear()
         for _ in range(2):
             petz_recover(ab, bc, t=t)
-        assert solver_calls == Counter(eigvalsh=2)
+        # the one spectrum each recovery paid for is now one certificate
+        assert solver_calls == Counter(cholesky=2)
 
     def test_output_decomposed_once_on_first_use(self, solver_calls):
         ab, bc = self.warm_pair(seed=42)
@@ -300,7 +306,7 @@ class TestPetzOutputSpectrum:
     def test_full_rank_inputs_cut_after_the_spectrum(self, solver_calls):
         # a pure joint mixed with 1e-10 of the identity has full-rank
         # marginals, yet rounding leaves output eigenvalues below zero: the
-        # spectrum comes first, then one eigh cuts them
+        # certificate fails first, then one eigh cuts them
         layout = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
         pure = sample_density(layout, rank=1, seed=44).matrix
         joint = DensityOperator(layout, (1 - 1e-10) * pure + 1e-10 * np.eye(8) / 8)
@@ -309,7 +315,7 @@ class TestPetzOutputSpectrum:
         petz_recover(ab, bc)
         solver_calls.clear()
         out = petz_recover(ab, bc).state
-        assert solver_calls == Counter(eigvalsh=1, eigh=1)
+        assert solver_calls == Counter(cholesky=1, eigh=1)
         assert "eig" in vars(out)
         assert out.eigenvalues()[0] >= 0.0
 
@@ -347,6 +353,79 @@ class TestPetzOutputSpectrum:
                     out.matrix, (v * w) @ v.conj().T, atol=1e-12)
         assert cut > 0  # the cut path ran
 
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("entry, value, shown", [
+        ((1, 1), 0.0, "0.000e+00"),  # with every other entry zeroed below
+        ((1, 1), np.nan, "nan"),
+        ((2, 1), np.nan, "nan"),
+        ((1, 1), np.inf, "nan"),
+    ])
+    def test_zero_or_non_finite_trace_raises(self, decompose, entry, value, shown):
+        # certified or decomposed, a Petz output without a positive finite
+        # trace raises RecoveryError; a factor of a non-finite matrix need
+        # not raise, so the certificate alone would pass a NaN off the diagonal
+        m = np.eye(4, dtype=complex) / 4
+        if value == 0.0:
+            m[:] = 0.0
+        m[entry] = value
+        with pytest.raises(recovery.RecoveryError, match=re.escape(f"trace {shown}:")):
+            recovery._petz_state(m, SubsystemLayout(("A", "B"), (2, 2)), ("B",),
+                                 decompose)
+
+    def test_first_spectrum_query_takes_one_eigvalsh(self, solver_calls):
+        ab, bc = self.warm_pair(seed=45)
+        out = petz_recover(ab, bc, t=0.7).state
+        assert "_spectrum" not in vars(out)  # certified, not decomposed
+        solver_calls.clear()
+        w = out.eigenvalues()
+        assert solver_calls == Counter(eigvalsh=1)
+        assert out.is_full_rank()
+        von_neumann_entropy(out)
+        assert out.eigenvalues() is w
+        assert solver_calls == Counter(eigvalsh=1)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(out.matrix), atol=1e-12)
+
+    def test_spectrum_read_from_eig_when_formed_first(self, solver_calls):
+        ab, bc = self.warm_pair(seed=46)
+        out = petz_recover(ab, bc).state
+        solver_calls.clear()
+        eig = out.eig
+        assert out.eigenvalues() is eig.eigenvalues
+        assert out.is_full_rank()
+        assert solver_calls == Counter(eigh=1)
+
+    def test_marginal_of_certified_output_forms_no_spectrum(self, solver_calls):
+        # a certified output has lambda_min > 0, so its marginals' floor
+        # needs no spectrum of the output: only the marginal's own
+        ab, bc = self.warm_pair(seed=47)
+        out = petz_recover(ab, bc, t=0.7).state
+        solver_calls.clear()
+        reduced = out.marginal(("A", "C"))
+        assert solver_calls == Counter(eigvalsh=1)
+        assert "_spectrum" not in vars(out) and "eig" not in vars(out)
+        np.testing.assert_allclose(
+            reduced.eigenvalues(), np.linalg.eigvalsh(reduced.matrix), atol=1e-12)
+
+    @PROPERTY
+    @given(kind=st.sampled_from(["full", "near_singular", "deficient"]),
+           t=st.sampled_from([0.0, 0.7]), seed=st.integers(0, 2**32 - 1))
+    def test_output_positive_normalized_and_hermitian(self, kind, t, seed):
+        # full rank certifies, a pure joint mixed with 1e-10 of the identity
+        # mostly fails the certificate, and a pure joint's marginals are
+        # rank deficient; every output keeps the state's invariants
+        layout = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
+        rank = 8 if kind == "full" else 1
+        joint = sample_density(layout, rank=rank, seed=seed)
+        if kind == "near_singular":
+            joint = DensityOperator(
+                layout, (1 - 1e-10) * joint.matrix + 1e-10 * np.eye(8) / 8)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        out = petz_recover(ab, bc, t=t).state
+        m = out.matrix
+        assert out.eigenvalues()[0] >= -states.NEGATIVITY_TOL
+        assert abs(m.trace().real - 1.0) <= states.TRACE_TOL
+        np.testing.assert_array_equal(m, m.conj().T)
+
 
 class TestPairFactsOnce:
     """A compatibility check and Petz recovery of one pair form each of
@@ -354,14 +433,17 @@ class TestPairFactsOnce:
 
     @pytest.fixture
     def spectral_calls(self, monkeypatch):
+        """(function, decomposition) per spectral function formed, by
+        recovery or by a state for its kept square root."""
         seen = []
         real = recovery.spectral_function
 
         def counted(eig, f, z=None):
-            seen.append(f)
+            seen.append((f, eig))
             return real(eig, f, z)
 
-        monkeypatch.setattr(recovery, "spectral_function", counted)
+        for module in (recovery, states):
+            monkeypatch.setattr(module, "spectral_function", counted)
         return seen
 
     def test_check_and_t0_share_the_bc_factor(self, spectral_calls):
@@ -371,13 +453,50 @@ class TestPairFactsOnce:
         assert check_qmc_compatibility(rho_ab, rho_bc).verdict
         petz_recover(rho_ab, rho_bc)
         petz_recover(rho_ab, rho_bc, t=0.7)
-        assert spectral_calls == ["power", "power", "sqrt", "power", "power"]
+        assert [f for f, _ in spectral_calls] == [
+            "sqrt", "power", "sqrt", "power", "power"]
 
     def test_t0_recovery_first_forms_the_factor_check_reuses(self, spectral_calls):
         _, rho_ab, rho_bc = fresh_qmc_pair(seed=32)
         petz_recover(rho_ab, rho_bc)
         check_qmc_compatibility(rho_ab, rho_bc)
-        assert spectral_calls == ["power", "power", "sqrt"]
+        assert [f for f, _ in spectral_calls] == ["sqrt", "power", "sqrt"]
+
+    def test_selection_forms_each_square_root_once(self, spectral_calls):
+        # two chains read marginal AB as rho_AB, and two read AC as rho_BC,
+        # across different shared labels: each root is still formed once,
+        # and so is each shared marginal's inverse root
+        joint = classical_chain([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]],
+                                [[0.2, 0.8], [0.5, 0.5]])
+        pairs = states.pairwise_marginals(joint)
+        best_pair_mutual_info(pairs)
+        assert Counter(f for f, _ in spectral_calls) == Counter(sqrt=3, power=3)
+        assert len({(f, id(eig)) for f, eig in spectral_calls}) == 6
+        roots = {id(m.eig) for m in pairs.values()}
+        assert {id(eig) for f, eig in spectral_calls if f == "sqrt"} == roots
+
+    def test_kept_square_root_read_only(self):
+        _, rho_ab, _ = fresh_qmc_pair(seed=35)
+        root = rho_ab._sqrt
+        assert rho_ab._sqrt is root
+        with pytest.raises(ValueError):
+            root[0, 0] = 1.0
+        np.testing.assert_allclose(root @ root, rho_ab.matrix, atol=1e-12)
+
+    def test_rank_read_once_per_state(self, monkeypatch):
+        # is_full_rank is a flag derived once from the kept spectrum, so a
+        # warm check and two recoveries derive no support cutoff
+        _, rho_ab, rho_bc = fresh_qmc_pair(seed=36)
+        check_qmc_compatibility(rho_ab, rho_bc)
+        calls = []
+        real = states.support_cutoff
+        monkeypatch.setattr(states, "support_cutoff",
+                            lambda w: calls.append(w.shape) or real(w))
+        for _ in range(2):
+            check_qmc_compatibility(rho_ab, rho_bc)
+            petz_recover(rho_ab, rho_bc)
+            petz_recover(rho_ab, rho_bc, t=0.7)
+        assert calls == []
 
     def test_kept_factor_read_only_and_only_at_t0(self):
         _, rho_ab, rho_bc = fresh_qmc_pair(seed=33)
