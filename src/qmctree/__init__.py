@@ -34,7 +34,6 @@ from .recovery import (
     best_pair_mutual_info,
     check_qmc_compatibility,
     petz_recover,
-    relative_entropy_gap,
 )
 from .maxent import (
     ConstraintSet,
@@ -50,6 +49,7 @@ from .tree import (
     chow_liu_tree,
     delta_s,
     learn_tree,
+    relative_entropy_gap,
     tree_recover,
 )
 
@@ -62,9 +62,8 @@ __all__ = [
     "sample_markov_tree", "sample_qmc", "von_neumann_entropy",
     "CompatReport", "PairSelection", "best_pair_min_entropy",
     "best_pair_mutual_info", "check_qmc_compatibility", "petz_recover",
-    "relative_entropy_gap",
     "ConstraintSet", "MaxEntSolution", "bayesian_update",
     "diagram_commutes", "marginal_constraints", "solve_maxent",
     "QuantumTree", "WeightedEdgeList", "chow_liu_tree", "delta_s",
-    "learn_tree", "tree_recover",
+    "learn_tree", "relative_entropy_gap", "tree_recover",
 ]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-EIG_NEGATIVITY_TOL = 1e-10
+# the floor below which an eigenvalue counts as negative, not rounding
+NEGATIVITY_TOL = 1e-10
 SUPPORT_CUTOFF_FACTOR = 1e-12
 
 
@@ -116,7 +117,7 @@ def spectral_function(
     if f not in _SUPPORT_FUNCTIONS:
         raise MatrixError(f"unknown matrix function {f!r}")
     lo = float(w[0])  # ascending
-    if lo < -EIG_NEGATIVITY_TOL:
+    if lo < -NEGATIVITY_TOL:
         raise MatrixError(
             f"{f} requires a positive-semidefinite input; "
             f"min eigenvalue {lo:.3e}"

@@ -18,10 +18,9 @@ from .linalg import (
 )
 from .states import (
     DensityOperator,
-    conditional_mutual_information,
-    mutual_information,
     overlap_distance,
     overlap_violation,
+    pair_mutual_informations,
     pairwise_marginals,
     von_neumann_entropy,
 )
@@ -348,10 +347,7 @@ def best_pair_mutual_info(
                 f"normality residual {report.normality_residual:.3e})"
             )
 
-    mi = {
-        pair: mutual_information(m, (pair[0],), (pair[1],))
-        for pair, m in marginals.items()
-    }
+    mi = pair_mutual_informations(marginals)
     order = chains_in_tie_order(labels)
     scores = {c: mi[chain_pairs(c)[0]] + mi[chain_pairs(c)[1]] for c in order}
     best = best_in_tie_order(order, scores.__getitem__)
@@ -359,63 +355,3 @@ def best_pair_mutual_info(
     _, b, _, layout = compose_layouts(ab, bc)
     estimator = _petz_state(outputs[best], layout, b, _rank_deficient(ab, bc)).state
     return PairSelection(chain_discarded(best), best, scores, estimator)
-
-
-# ---------------------------------------------------------------------------
-# relative-entropy bookkeeping
-
-# how far an estimator's marginals may stray from the marginals it was
-# built from before an entropy bookkeeping report refuses it
-ESTIMATOR_MARGINAL_TOL = 1e-6
-
-
-def _estimator_conflict(estimator: DensityOperator, marginals) -> str | None:
-    """Why ``estimator`` strays from one of ``marginals`` by more than
-    ESTIMATOR_MARGINAL_TOL in trace distance, or None."""
-    for m in marginals:
-        dist = overlap_violation(m, estimator, m.labels, ESTIMATOR_MARGINAL_TOL)
-        if dist is not None:
-            return (f"estimator violates the {tuple(sorted(m.labels))} "
-                    f"marginal by {dist:.3e}")
-    return None
-
-
-@dataclass(frozen=True)
-class RelativeEntropyGap:
-    """Four-term split of S(rho_true || estimator) for a chain X-Y-Z."""
-
-    neg_pairwise_mutual_info: float
-    neg_estimator_cmi: float
-    sum_single_entropies: float
-    neg_joint_entropy: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.neg_pairwise_mutual_info
-            + self.neg_estimator_cmi
-            + self.sum_single_entropies
-            + self.neg_joint_entropy
-        )
-
-
-def relative_entropy_gap(
-    rho_true: DensityOperator,
-    estimator: DensityOperator,
-    chain: tuple[str, str, str],
-) -> RelativeEntropyGap:
-    x, y, z = chain
-    conflict = _estimator_conflict(
-        estimator, [rho_true.marginal(p) for p in chain_pairs(chain)])
-    if conflict is not None:
-        raise RecoveryError(conflict)
-    mi_sum = mutual_information(
-        rho_true.marginal(sorted((x, y))), (x,), (y,)
-    ) + mutual_information(rho_true.marginal(sorted((y, z))), (y,), (z,))
-    cmi = conditional_mutual_information(estimator, (x,), (y,), (z,))
-    singles = sum(
-        von_neumann_entropy(rho_true.marginal((w,))) for w in rho_true.labels
-    )
-    return RelativeEntropyGap(
-        -mi_sum, -cmi, singles, -von_neumann_entropy(rho_true)
-    )

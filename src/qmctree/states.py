@@ -19,6 +19,7 @@ from .layout import (
     spanning_tree_problem,
 )
 from .linalg import (
+    NEGATIVITY_TOL,
     HermitianEig,
     _hermitian_part,
     frobenius,
@@ -29,7 +30,6 @@ from .linalg import (
 )
 
 TRACE_TOL = 1e-9
-NEGATIVITY_TOL = 1e-10
 OVERLAP_TOL = 1e-8
 # relative margin on the overlap gates' Frobenius bound: far above the few
 # units in the last place by which a computed trace distance can exceed it
@@ -319,6 +319,11 @@ def mutual_information(rho: DensityOperator, part1, part2) -> float:
         + von_neumann_entropy(rho.marginal(part2))
         - von_neumann_entropy(rho)
     )
+
+
+def pair_mutual_informations(marginals: dict) -> dict:
+    """I(a:b) of each bipartite marginal in ``marginals``, keyed by its pair (a, b)."""
+    return {(a, b): mutual_information(m, (a,), (b,)) for (a, b), m in marginals.items()}
 
 
 def conditional_mutual_information(rho: DensityOperator, part_a, part_b, part_c) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .layout import (
     LayoutError,
@@ -15,7 +15,7 @@ from .layout import (
 )
 from .recovery import (
     DEFAULT_EPS_MARGINAL,
-    _estimator_conflict,
+    RecoveryError,
     _pair_plan,
     _petz_product,
     _petz_state,
@@ -26,16 +26,25 @@ from .states import (
     OVERLAP_TOL,
     DensityOperator,
     distance_violation,
-    mutual_information,
     overlap_conflict,
+    overlap_violation,
+    pair_mutual_informations,
     pairwise_marginals,
     relative_entropy,
     von_neumann_entropy,
 )
 
 
+# how far an estimator may stray from an edge marginal in trace distance
+ESTIMATOR_MARGINAL_TOL = 1e-6
+
+
 class TreeError(ValueError):
     pass
+
+
+class EstimatorMarginalError(TreeError, RecoveryError):
+    """Raised when an estimator strays from an edge marginal it should keep."""
 
 
 class TreeRecoveryError(TreeError):
@@ -215,12 +224,15 @@ def delta_s(
     estimator: DensityOperator,
 ) -> DeltaSReport:
     """Sum of edge entropies minus weighted vertex entropies minus the
-    estimator entropy, with its leaf-peeling conditional terms."""
+    estimator entropy, with its leaf-peeling conditional terms.  An
+    estimator that breaks an edge marginal raises EstimatorMarginalError."""
     if set(estimator.labels) != set(tree.layout.labels):
         raise LayoutError("estimator labels do not match the tree")
-    conflict = _estimator_conflict(estimator, tree.edge_marginals.values())
-    if conflict is not None:
-        raise TreeError(conflict)
+    for m in tree.edge_marginals.values():
+        dist = overlap_violation(m, estimator, m.labels, ESTIMATOR_MARGINAL_TOL)
+        if dist is not None:
+            raise EstimatorMarginalError(
+                f"estimator violates the {tuple(sorted(m.labels))} marginal by {dist:.3e}")
     value = sum(von_neumann_entropy(m) for m in tree.edge_marginals.values())
     for v in tree.layout.labels:
         value -= (tree.degree(v) - 1) * von_neumann_entropy(tree.vertex_marginal(v))
@@ -243,7 +255,10 @@ def delta_s(
 
 @dataclass(frozen=True)
 class GapReport:
-    """Relative-entropy budget of a learned tree against the true joint."""
+    """Entropy ledger of a tree estimator sigma against the true joint rho,
+    -sum_e I_e - Delta S + sum_v S_v - S(rho) = S(sigma) - S(rho) (the
+    ``decomposition_sum``).  ``total`` is the measured S(rho || sigma) in
+    ``learn_tree``'s report, and the ledger sum in ``relative_entropy_gap``'s."""
 
     total: float
     neg_edge_mutual_info: float
@@ -259,6 +274,38 @@ class GapReport:
             + self.sum_vertex_entropies
             + self.neg_joint_entropy
         )
+
+    @property
+    def neg_estimator_cmi(self) -> float:
+        """``neg_delta_s`` by its chain name: on a path X-Y-Z whose
+        estimator keeps the edge marginals, Delta S = I_sigma(X:Z|Y)."""
+        return self.neg_delta_s
+
+
+def _gap_report(joint: DensityOperator, tree: QuantumTree, mi: dict,
+                ds: DeltaSReport, total: float | None = None) -> GapReport:
+    """The ledger from the edge mutual informations ``mi`` and the
+    estimator's ``delta_s`` report; ``total`` None takes the ledger sum."""
+    report = GapReport(total, -sum(mi[e] for e in tree.edges), -ds.delta_s,
+                       sum(von_neumann_entropy(joint.marginal((v,))) for v in joint.labels),
+                       -von_neumann_entropy(joint))
+    return report if total is not None else replace(report, total=report.decomposition_sum)
+
+
+def relative_entropy_gap(
+    rho_true: DensityOperator,
+    estimator: DensityOperator,
+    chain: tuple[str, str, str],
+) -> GapReport:
+    """The ledger of ``estimator`` on the path tree X-Y-Z of ``chain``,
+    built from ``rho_true``'s marginals on (X, Y) and (Y, Z).  A
+    ``rho_true`` on other labels than the chain's, whose relative entropy
+    to the estimator is undefined, raises TreeError."""
+    x, y, z = chain
+    edges = ((x, y), (y, z))
+    tree = QuantumTree(rho_true.layout, edges, {e: rho_true.marginal(e) for e in edges})
+    return _gap_report(rho_true, tree, pair_mutual_informations(tree.edge_marginals),
+                       delta_s(tree, estimator))
 
 
 @dataclass(frozen=True)
@@ -292,11 +339,7 @@ def learn_tree(
             raise TreeError("layout is required with marginal-only input")
         marginals = {_sorted_pair(k): v for k, v in source.items()}
 
-    mi = {
-        pair: mutual_information(m, (pair[0],), (pair[1],))
-        for pair, m in marginals.items()
-    }
-    weights = WeightedEdgeList.from_dict(layout.labels, mi)
+    weights = WeightedEdgeList.from_dict(layout.labels, pair_mutual_informations(marginals))
     edges = chow_liu_tree(weights)
     tree = QuantumTree(layout, edges, {e: marginals[e] for e in edges})
     estimator = tree_recover(tree, eps_m).state
@@ -304,17 +347,7 @@ def learn_tree(
 
     gap = None
     if joint is not None:
-        neg_mi = -sum(mi[e] for e in edges)
-        singles = sum(
-            von_neumann_entropy(joint.marginal((v,))) for v in layout.labels
-        )
-        gap = GapReport(
-            total=relative_entropy(joint, estimator),
-            neg_edge_mutual_info=neg_mi,
-            neg_delta_s=-ds.delta_s,
-            sum_vertex_entropies=singles,
-            neg_joint_entropy=-von_neumann_entropy(joint),
-        )
+        gap = _gap_report(joint, tree, weights.as_dict(), ds, relative_entropy(joint, estimator))
     return LearnedTree(tree, weights, estimator, ds, gap)
 
 

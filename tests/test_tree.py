@@ -23,6 +23,7 @@ from qmctree import (
     mutual_information,
     petz_recover,
     relative_entropy,
+    relative_entropy_gap,
     sample_density,
     sample_markov_path,
     sample_markov_tree,
@@ -32,8 +33,14 @@ from qmctree import (
 )
 from qmctree.layout import LayoutError, embed
 from qmctree.linalg import frobenius
-from qmctree.recovery import DEFAULT_EPS_MARGINAL, DEFAULT_EPS_NORMALITY, TIE_TOL
+from qmctree.recovery import (
+    DEFAULT_EPS_MARGINAL,
+    DEFAULT_EPS_NORMALITY,
+    TIE_TOL,
+    RecoveryError,
+)
 from qmctree.tree import (
+    EstimatorMarginalError,
     TreeError,
     TreeRecoveryError,
     enumerate_spanning_trees,
@@ -72,6 +79,7 @@ def classical_tree_state(layout, edges, rng):
     return classical_state(layout, table)
 
 
+L3 = SubsystemLayout(("A", "B", "C"), (2, 2, 2))
 L4 = SubsystemLayout(("A", "B", "C", "D"), (2, 2, 2, 2))
 
 
@@ -523,6 +531,40 @@ class TestLearnTree:
         learned = learn_tree(pairwise_marginals(state), layout=state.layout)
         assert learned.gap is None
         assert trace_distance(learned.estimator.matrix, state.matrix) < 1e-7
+
+
+class TestOneLedger:
+    """relative_entropy_gap is the tree ledger on the path X-Y-Z."""
+
+    LEDGER = ("neg_edge_mutual_info", "neg_delta_s", "sum_vertex_entropies",
+              "neg_joint_entropy")
+
+    def test_path_ledger_equals_learned_gap(self):
+        state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=31)
+        learned = learn_tree(state)
+        assert learned.tree.edges == (("A", "B"), ("B", "C"))
+        gap = relative_entropy_gap(state, learned.estimator, ("A", "B", "C"))
+        for name in self.LEDGER:
+            assert getattr(gap, name) == pytest.approx(
+                getattr(learned.gap, name), abs=1e-12)
+        assert gap.total == pytest.approx(learned.gap.decomposition_sum, abs=1e-12)
+        assert gap.neg_estimator_cmi == gap.neg_delta_s
+
+    def test_state_on_more_labels_than_the_chain_rejected(self):
+        # the estimator lives on A, B, C and the state on A, B, C, D, so
+        # S(rho || sigma) is undefined; the path tree does not span D
+        state = sample_markov_path(("A", "B", "C", "D"), (2, 2, 2, 2), seed=1)
+        est = petz_recover(state.marginal(("A", "B")), state.marginal(("B", "C"))).state
+        with pytest.raises(TreeError, match="2 edges cannot span 4 vertices"):
+            relative_entropy_gap(state, est, ("A", "B", "C"))
+
+    def test_broken_marginal_is_a_tree_and_a_recovery_error(self):
+        truth = sample_density(L3, seed=1)
+        other = sample_density(L3, seed=2)
+        with pytest.raises(EstimatorMarginalError, match=r"violates the \('A', 'B'\) marginal"):
+            relative_entropy_gap(truth, other, ("A", "B", "C"))
+        assert issubclass(EstimatorMarginalError, TreeError)
+        assert issubclass(EstimatorMarginalError, RecoveryError)
 
 
 class TestTieTolerance:
