@@ -201,9 +201,9 @@ def tree_recover(
                 f"extension across edge {edge} strays {defect:.3e} in trace "
                 "distance from the state it extends", edge, defect)
         m, layout = sigma, target
-    if steps:  # one eigh, which learn_tree's relative entropy reuses
-        state = _petz_state(m, layout, (parent,), decompose=True).state
     rank_deficient = not all(e.is_full_rank() for e in tree.edge_marginals.values())
+    if steps:  # full-rank edges: a Cholesky certificate (see _petz_state); else one eigh
+        state = _petz_state(m, layout, (parent,), decompose=rank_deficient).state
     return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))
 
 
@@ -233,32 +233,35 @@ def delta_s(
         if dist is not None:
             raise EstimatorMarginalError(
                 f"estimator violates the {tuple(sorted(m.labels))} marginal by {dist:.3e}")
+    entropies = {}  # label set -> S of the estimator's marginal, taken once
+
+    def s(labels):
+        key = frozenset(labels)
+        if key not in entropies:
+            entropies[key] = von_neumann_entropy(estimator.marginal(key))
+        return entropies[key]
+
     value = sum(von_neumann_entropy(m) for m in tree.edge_marginals.values())
     for v in tree.layout.labels:
-        value -= (tree.degree(v) - 1) * von_neumann_entropy(tree.vertex_marginal(v))
-    value -= von_neumann_entropy(estimator)
+        if tree.degree(v) > 1:  # a leaf's vertex term has weight 0
+            value -= (tree.degree(v) - 1) * von_neumann_entropy(tree.vertex_marginal(v))
+    value -= s(estimator.labels)
 
-    steps, _ = tree.peel_order()
-    terms = []
-    for leaf, parent, rest in steps:
-        others = tuple(l for l in rest if l != parent)
-        scope = (leaf, parent) + others
-        term = (
-            von_neumann_entropy(estimator.marginal((leaf, parent)))
-            + von_neumann_entropy(estimator.marginal(rest))
-            - von_neumann_entropy(estimator.marginal((parent,)))
-            - von_neumann_entropy(estimator.marginal(scope))
-        )
-        terms.append((leaf, term))
-    return DeltaSReport(float(value), tuple(terms))
+    # a step's scope, its leaf and rest, is the last step's rest or all labels
+    terms = tuple((leaf, s((leaf, parent)) + s(rest) - s((parent,)) - s((leaf,) + rest))
+                  for leaf, parent, rest in tree.peel_order()[0])
+    return DeltaSReport(float(value), terms)
 
 
 @dataclass(frozen=True)
 class GapReport:
     """Entropy ledger of a tree estimator sigma against the true joint rho,
     -sum_e I_e - Delta S + sum_v S_v - S(rho) = S(sigma) - S(rho) (the
-    ``decomposition_sum``).  ``total`` is the measured S(rho || sigma) in
-    ``learn_tree``'s report, and the ledger sum in ``relative_entropy_gap``'s."""
+    ``decomposition_sum``).  ``total`` is S(rho || sigma).  It equals the sum
+    when sigma is Markov on full-rank edge marginals it keeps (log sigma then
+    combines their logs, so Tr rho log sigma = Tr sigma log sigma) and is the
+    sum there, unclamped if rounding makes it negative; with a rank-deficient
+    edge ``learn_tree`` measures it (+inf where supp rho leaves supp sigma)."""
 
     total: float
     neg_edge_mutual_info: float
@@ -268,12 +271,8 @@ class GapReport:
 
     @property
     def decomposition_sum(self) -> float:
-        return (
-            self.neg_edge_mutual_info
-            + self.neg_delta_s
-            + self.sum_vertex_entropies
-            + self.neg_joint_entropy
-        )
+        return (self.neg_edge_mutual_info + self.neg_delta_s
+                + self.sum_vertex_entropies + self.neg_joint_entropy)
 
     @property
     def neg_estimator_cmi(self) -> float:
@@ -327,7 +326,7 @@ def learn_tree(
 
     ``source`` is either the full joint state or a dict of all pairwise
     marginals (then ``layout`` is required).  With joint access the report
-    also carries the relative-entropy budget of the estimator.
+    also carries the estimator's relative-entropy ledger, a ``GapReport``.
     """
     if isinstance(source, DensityOperator):
         joint = source
@@ -342,13 +341,14 @@ def learn_tree(
     weights = WeightedEdgeList.from_dict(layout.labels, pair_mutual_informations(marginals))
     edges = chow_liu_tree(weights)
     tree = QuantumTree(layout, edges, {e: marginals[e] for e in edges})
-    estimator = tree_recover(tree, eps_m).state
-    ds = delta_s(tree, estimator)
+    recovered = tree_recover(tree, eps_m)
+    ds = delta_s(tree, recovered.state)
 
     gap = None
-    if joint is not None:
-        gap = _gap_report(joint, tree, weights.as_dict(), ds, relative_entropy(joint, estimator))
-    return LearnedTree(tree, weights, estimator, ds, gap)
+    if joint is not None:  # see GapReport for the total on full-rank edges
+        total = relative_entropy(joint, recovered.state) if recovered.rank_deficient else None
+        gap = _gap_report(joint, tree, weights.as_dict(), ds, total)
+    return LearnedTree(tree, weights, recovered.state, ds, gap)
 
 
 def enumerate_spanning_trees(labels):

@@ -73,6 +73,23 @@ def solver_calls(monkeypatch):
 
 
 @pytest.fixture
+def joint_size_calls(monkeypatch):
+    """(name, shape) of each eigh and Cholesky call on a matrix larger than
+    4 x 4, the largest edge marginal of a qubit tree, in call order."""
+    calls = []
+    for name in ("eigh", "cholesky"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            if np.shape(a)[0] > 4:
+                calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
 def partial_traces(monkeypatch):
     """Label sets traced down to by ``DensityOperator.marginal``, in call order."""
     seen = []
@@ -203,22 +220,30 @@ class TestSpectrumKept:
         petz_recover(rho_ab, rho_bc, t=t)
         assert partial_traces == [("B",), ("B",)]
 
-    def test_three_step_recovery_eigh_count(self, monkeypatch):
+    def test_three_step_recovery_eigh_count(self, joint_size_calls):
         joint, tree = markov_path_tree(tuple("ABCDE"), seed=21)
-        calls = []
-        real = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        joint_size_calls.clear()
         result = tree_recover(tree)
         assert len(result.step_defects) == 3
-        # one eigh at the joint's D, the final state's; the others are the
-        # edge marginals' and their vertices'
-        assert [s for s in calls if s[0] > 4] == [(32, 32)]
+        # full-rank edges: no eigh at the joint's D, only the final state's
+        # Cholesky certificate; the eighs left are the edge marginals'
+        assert joint_size_calls == [("cholesky", (32, 32))]
         assert trace_distance(result.state.matrix, joint.matrix) < 1e-8
+
+    def test_rank_deficient_edge_takes_one_eigh(self, joint_size_calls):
+        # rho_A (x) a pure rho_BC: the B-C edge is rank deficient, so the
+        # final state is decomposed and the gap is the measured S(rho||sigma)
+        a = sample_density(SubsystemLayout(("A",), (2,)), seed=22)
+        bc = sample_density(SubsystemLayout(("B", "C"), (2, 2)), rank=1, seed=23)
+        joint = DensityOperator(SubsystemLayout(("A", "B", "C"), (2, 2, 2)),
+                                np.kron(a.matrix, bc.matrix))
+        joint_size_calls.clear()
+        learned = learn_tree(joint)
+        assert learned.tree.edges == (("A", "B"), ("B", "C"))
+        assert not learned.tree.edge_marginals[("B", "C")].is_full_rank()
+        assert joint_size_calls == [("eigh", (8, 8))]
+        assert learned.gap.total == relative_entropy(joint, learned.estimator)
+        assert abs(learned.gap.total) < 1e-10
 
     def test_three_step_recovery_work_per_step(self, monkeypatch):
         # per step: one local product forms the BC factor X and two apply
