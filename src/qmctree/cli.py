@@ -61,8 +61,6 @@ def _parse_dims(text: str):
         dims = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"bad dims {text!r}; expected e.g. 2,2,2")
-    if not dims:
-        raise ValueError("dims must be nonempty")
     return dims
 
 
@@ -190,13 +188,13 @@ def cmd_counterexample(args) -> int:
     if len(dims) != 3:
         raise ValueError("counterexample search needs a tripartite layout")
     layout = SubsystemLayout(("A", "B", "C"), dims)
+    spec = QmcSpec(dims[0], dims[2], ((1.0, 1, dims[1]),)) if args.qmc else None
     rng = np.random.default_rng(args.seed)
     seeds = rng.integers(0, 2**63 - 1, size=args.samples)
     failures = 0
     first_failure = None
     for index, sample_seed in enumerate(seeds):
         if args.qmc:
-            spec = QmcSpec(dims[0], dims[2], ((1.0, 1, dims[1]),))
             joint = sample_qmc(spec, seed=int(sample_seed))
         else:
             joint = sample_density(layout, seed=int(sample_seed))

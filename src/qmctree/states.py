@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -358,6 +359,13 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _hilbert_schmidt(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    """G G^dagger / Tr(G G^dagger) for a d x rank Ginibre matrix G."""
+    g = _ginibre(rng, d, rank)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def sample_density(
     layout: SubsystemLayout, rank: int | None = None, seed=None
 ) -> DensityOperator:
@@ -367,9 +375,7 @@ def sample_density(
         rank = d
     if not 1 <= rank <= d:
         raise StateError(f"rank must be in [1, {d}], got {rank}")
-    g = _ginibre(_rng(seed), d, rank)
-    m = g @ g.conj().T
-    return DensityOperator(layout, m / np.trace(m).real)
+    return DensityOperator(layout, _hilbert_schmidt(_rng(seed), d, rank))
 
 
 def random_unitary(d: int, seed=None) -> np.ndarray:
@@ -422,21 +428,22 @@ def sample_qmc(spec: QmcSpec, seed=None) -> DensityOperator:
     rng = _rng(seed)
     da, db, dc = spec.dim_a, spec.dim_b, spec.dim_c
     layout = SubsystemLayout(("A", "B", "C"), (da, db, dc))
-    full = np.zeros((layout.dim, layout.dim), dtype=complex)
+    full = np.zeros((da, db, dc, da, db, dc), dtype=complex)
     offset = 0
     for p, dl, dr in spec.blocks:
-        left = sample_density(SubsystemLayout(("a", "l"), (da, dl)), seed=rng)
-        right = sample_density(SubsystemLayout(("r", "c"), (dr, dc)), seed=rng)
+        left = _hilbert_schmidt(rng, da * dl, da * dl)
+        right = _hilbert_schmidt(rng, dr * dc, dr * dc)
         # block on A (x) B_j (x) C with B_j = L (x) R occupying rows
         # offset..offset + dl*dr of the middle factor
-        block = np.kron(left.matrix, right.matrix)
-        iso = np.zeros((db, dl * dr))
-        iso[offset:offset + dl * dr, :] = np.eye(dl * dr)
-        lift = np.kron(np.kron(np.eye(da), iso), np.eye(dc))
-        full += p * (lift @ block @ lift.conj().T)
+        rows = slice(offset, offset + dl * dr)
+        full[:, rows, :, :, rows, :] = p * np.kron(left, right).reshape(
+            da, dl * dr, dc, da, dl * dr, dc)
         offset += dl * dr
-    ub = np.kron(np.kron(np.eye(da), random_unitary(db, rng)), np.eye(dc))
-    full = ub @ full @ ub.conj().T
+    # (1 (x) U (x) 1) full (1 (x) U (x) 1)^dagger: U on B's row axis, then
+    # U* on its column axis, as broadcast products
+    u = random_unitary(db, rng)
+    full = (u @ full.reshape(da, db, -1)).reshape(-1, db, dc)
+    full = (u.conj() @ full).reshape(layout.dim, layout.dim)
     full = (full + full.conj().T) / 2
     return DensityOperator(layout, full / np.trace(full).real)
 
@@ -496,41 +503,34 @@ def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:
                 parent_of[w] = v
                 order.append(w)
                 stack.append(w)
-    dims_int = {l: layout.dim_of(l) for l in internal}
-    marg = {root: _random_dist(rng, dims_int[root])}
-    cond = {}
+
+    # one einsum over the backbone: the root distribution, each internal
+    # edge's conditional table, a stack of projectors u[:, x] u[:, x]^dagger
+    # per internal vertex and a stack of states per leaf, indexed by its
+    # neighbour's value.  A unit axis gets no subscript and is squeezed
+    # away, so layouts of many unit factors do not run out of letters.
+    dims = dict(zip(layout.labels, layout.dims))
+    letters = iter(string.ascii_letters)
+    row = {l: next(letters) if dims[l] > 1 else "" for l in layout.labels}
+    col = {l: next(letters) if dims[l] > 1 else "" for l in layout.labels}
+    var = {l: next(letters) if dims[l] > 1 else "" for l in internal}
+    terms, operands = [var[root]], [_random_dist(rng, dims[root])]
     for v in order[1:]:
         p = parent_of[v]
-        cond[v] = np.stack(
-            [_random_dist(rng, dims_int[v]) for _ in range(dims_int[p])]
-        )
-
-    bases = {l: random_unitary(layout.dim_of(l), rng) for l in internal}
-    leaf_states = {
-        l: [
-            sample_density(SubsystemLayout((l,), (layout.dim_of(l),)), seed=rng)
-            for _ in range(dims_int[adj[l][0]])
-        ]
-        for l in leaves
-    }
-
-    full = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for config in np.ndindex(*(dims_int[l] for l in internal)):
-        x = dict(zip(internal, config))
-        weight = marg[root][x[root]]
-        for v in order[1:]:
-            weight *= cond[v][x[parent_of[v]], x[v]]
-        factors = []
-        for l in layout.labels:
-            if l in internal:
-                vec = bases[l][:, x[l]]
-                factors.append(np.outer(vec, vec.conj()))
-            else:
-                factors.append(leaf_states[l][x[adj[l][0]]].matrix)
-        block = factors[0]
-        for f in factors[1:]:
-            block = np.kron(block, f)
-        full += weight * block
+        terms.append(var[p] + var[v])
+        operands.append(np.stack([_random_dist(rng, dims[v]) for _ in range(dims[p])]))
+    for v in internal:
+        u = random_unitary(dims[v], rng)
+        terms.append(var[v] + row[v] + col[v])
+        operands.append(np.einsum("ix,jx->xij", u, u.conj()))
+    for l in leaves:
+        p = adj[l][0]
+        terms.append(var[p] + row[l] + col[l])
+        operands.append(np.stack([_hilbert_schmidt(rng, dims[l], dims[l])
+                                  for _ in range(dims[p])]))
+    spec = ",".join(terms) + "->" + "".join(row.values()) + "".join(col.values())
+    full = np.einsum(spec, *map(np.squeeze, operands), optimize="greedy")
+    full = full.reshape(layout.dim, layout.dim)
     full = (full + full.conj().T) / 2
     return DensityOperator(layout, full / np.trace(full).real)
 

@@ -557,6 +557,11 @@ class TestCounterexample:
         assert main(["counterexample", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("dims", ["", "2,,2"], ids=["empty", "empty_field"])
+    def test_malformed_dims_exit_two(self, capsys, dims):
+        assert main(["counterexample", "--dims", dims]) == 2
+        assert "bad dims" in capsys.readouterr().err
+
     def test_deterministic_under_seed(self, capsys):
         main(["counterexample", "--samples", "10", "--seed", "3"])
         first = capsys.readouterr().out

@@ -26,6 +26,7 @@ from qmctree import (
 )
 from qmctree.fileio import FileFormatError, read_density, write_operator
 from qmctree.layout import embed
+from qmctree.linalg import NEGATIVITY_TOL
 from qmctree.states import StateError, overlap_distance, overlap_violation
 
 from conftest import PROPERTY, bell_state, classical_chain, ghz_state, random_conditional
@@ -483,3 +484,108 @@ class TestMarkovSamplers:
         assert abs(conditional_mutual_information(
             state, ("A",), ("B",), ("C",)
         )) <= 1e-8
+
+
+def _branches(labels, edges, v):
+    """The label sets of the components that removing ``v`` leaves."""
+    adj = {l: set() for l in labels}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+    for w in sorted(adj[v]):
+        seen, stack = {v, w}, [w]
+        while stack:
+            for x in adj[stack.pop()] - seen:
+                seen.add(x)
+                stack.append(x)
+        out.append(tuple(l for l in labels if l in seen and l != v))
+    return out
+
+
+def _assert_markov_sample(state, edges):
+    labels = state.labels
+    assert abs(np.trace(state.matrix).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(state.matrix)[0] >= -NEGATIVITY_TOL
+    for v in labels:
+        branches = _branches(labels, edges, v)
+        if len(branches) < 2:
+            continue
+        for branch in branches:
+            rest = tuple(l for l in labels if l != v and l not in branch)
+            assert conditional_mutual_information(state, branch, (v,), rest) <= 1e-9
+
+
+@st.composite
+def _random_trees(draw):
+    """A layout of two to six labels with dimensions in {1, 2, 3}, and a
+    spanning tree on it that attaches each label to an earlier one."""
+    n = draw(st.integers(2, 6))
+    labels = tuple("ABCDEF"[:n])
+    dims = tuple(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n)))
+    edges = [(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, n)]
+    return SubsystemLayout(labels, dims), edges
+
+
+class TestSamplerStreams:
+    """Entries recorded from the kron-loop samplers: a sampler that draws in
+    another order, or another number of times, moves them."""
+
+    RECORDED = {
+        11: ([0.12261860647723777, 0.017481753141107264 + 0.07383617337424624j,
+              -0.06520887325370843 - 0.05282791106949413j],
+             [0.0823937189424481, 0.007168927746419185 - 0.01386161208216501j,
+              0.00318222752988333 + 0.003357756627920939j],
+             [0.008651689394446405, 0.009107832883451177 - 0.003280796655694448j,
+              -0.000703975434636791 + 0.003915650624555479j],
+             3310527401895250217),
+        12: ([0.1638238860472387, 0.015811282998078897 - 0.005334412678438558j,
+              0.04431129816669439 - 0.0021042852417718985j],
+             [0.10758684069454276, -0.00357737135429614 + 0.04299573866194534j,
+              -0.01543152831591117 - 0.03503466040725348j],
+             [0.007454294300285085, 0.0035627479598820096 + 0.006962884640884025j,
+              0.006470174963026889 - 0.008565819642692167j],
+             4172338129172931119),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_shared_generator_stream(self, seed):
+        *entries, next_draw = self.RECORDED[seed]
+        rng = np.random.default_rng(seed)
+        states = [
+            sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=rng),
+            sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=rng),
+            sample_markov_tree(SubsystemLayout(tuple("ABCDE"), (2, 3, 2, 3, 2)),
+                               [("A", "B"), ("B", "C"), ("C", "D"), ("C", "E")],
+                               seed=rng),
+        ]
+        for state, expected in zip(states, entries):
+            m = state.matrix
+            np.testing.assert_allclose([m[0, 0], m[0, 1], m[-1, -2]], expected,
+                                       rtol=0, atol=1e-12)
+        assert int(rng.integers(2**62)) == next_draw
+
+
+class TestMarkovSamplerProperties:
+    @PROPERTY
+    @given(_random_trees(), st.integers(0, 2**32 - 1))
+    def test_random_tree_is_markov_at_every_vertex(self, tree, seed):
+        layout, edges = tree
+        _assert_markov_sample(sample_markov_tree(layout, edges, seed=seed), edges)
+
+    def test_path_of_unit_factors(self):
+        # 30 labels need more einsum subscripts than there are letters, but
+        # the 28 unit factors need none; partial_trace takes no more than 26
+        # factors, so no conditional mutual information is checked here
+        labels = tuple(f"v{i}" for i in range(30))
+        dims = tuple(2 if i in (3, 17) else 1 for i in range(30))
+        state = sample_markov_path(labels, dims, seed=4)
+        assert state.matrix.shape == (4, 4)
+        assert abs(np.trace(state.matrix).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(state.matrix)[0] >= -NEGATIVITY_TOL
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_labels_equal_sample_density(self, seed):
+        layout = SubsystemLayout(("X", "Y"), (2, 3))
+        state = sample_markov_tree(layout, [("Y", "X")], seed=seed)
+        np.testing.assert_array_equal(state.matrix, sample_density(layout, seed=seed).matrix)
