@@ -10,6 +10,7 @@ import numpy as np
 
 from .layout import LAYOUT_CACHE_SIZE, LayoutError, SubsystemLayout, _apply, _product_plan
 from .linalg import (
+    NEGATIVITY_TOL,
     SUPPORT_CUTOFF_FACTOR,
     HermitianEig,
     _hermitian_part,
@@ -135,23 +136,30 @@ def _petz_product(m_ab, rho_bc, t, plan: _PairPlan) -> np.ndarray:
 
 
 def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
-                decompose: bool = False) -> RecoveryResult:
+                decompose: bool = False, by_spectrum: bool = False) -> RecoveryResult:
     """The state of the unnormalized Petz output ``m`` (overwritten).
 
     ``m`` is first replaced by m + m^dagger, twice the output and Hermitian
     to the bit, so the one triangle a solver reads stands for the whole
-    matrix.  Unless ``decompose`` is set, one Cholesky factorization then
-    certifies it positive definite, and the state takes its spectrum on
-    first use.  When the certificate fails, or ``decompose`` is set, one
-    ``eigh`` cuts rounding's negative eigenvalues from ``m`` and the state
-    keeps it.  A rank-deficient input gives a rank-deficient output, on
-    which a certificate would fail, so callers set ``decompose`` for it.
+    matrix.  Unless ``decompose`` is set, it is certified positive by one
+    Cholesky factorization, the state taking its spectrum on first use, or,
+    ``by_spectrum``, by the check every input passes on one ``eigvalsh``
+    (lambda_min >= -NEGATIVITY_TOL), which the state keeps.  When it fails,
+    or ``decompose`` is set, one ``eigh`` cuts rounding's negative
+    eigenvalues from ``m`` and the state keeps it.  A rank-deficient input
+    gives a rank-deficient output, on which a certificate would fail, so
+    callers set ``decompose`` for it.
     """
     m += m.conj().T
-    if not decompose and _positive_definite(m):
+    if not decompose and (by_spectrum or _positive_definite(m)):
         tr = _positive_trace(float(m.trace().real) / 2, b)
         m /= 2 * tr
-        return RecoveryResult(DensityOperator._certified(layout, m), tr)
+        if not by_spectrum:
+            return RecoveryResult(DensityOperator._certified(layout, m), tr)
+        w = np.linalg.eigvalsh(m)
+        if w[0] >= -NEGATIVITY_TOL:
+            return RecoveryResult(DensityOperator._checked(layout, m, w), tr)
+        m *= 2 * tr  # the cut below reads the doubled output
     w, v = np.linalg.eigh(m)
     neg = w < 0.0
     if neg.any():  # a Hermitian update keeps m Hermitian to the bit

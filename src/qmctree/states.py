@@ -47,7 +47,7 @@ class DensityOperator:
 
     A state keeps, each formed at most once and read-only: its spectrum,
     which serves every eigenvalue query (computed to validate an input
-    state or a marginal; a Petz output certified positive definite by a
+    state, a marginal or a tree estimator; a Petz output certified by a
     Cholesky factorization takes it on first use, read from ``eig`` when
     that is formed first); whether it is full rank; one
     eigendecomposition, ``eig``, formed on first use (an uncertified Petz
@@ -127,11 +127,11 @@ class DensityOperator:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """The ascending spectrum of a state built without it: read from
-        ``eig`` when that is formed, else one ``eigvalsh``."""
+        """The ascending spectrum of a certified state, Hermitian to the bit:
+        read from ``eig`` when that is formed, else one ``eigvalsh``."""
         if "eig" in vars(self):
             return self.eig.eigenvalues
-        w = np.linalg.eigvalsh(_hermitian_part(self.matrix))
+        w = np.linalg.eigvalsh(self.matrix)
         _freeze(w)
         return w
 
@@ -479,7 +479,7 @@ def sample_markov_tree(
     if problem:
         raise StateError(problem)
     rng = _rng(seed)
-    if len(layout.labels) == 2:
+    if len(layout.labels) <= 2:  # no separator: every state is Markov
         return sample_density(layout, seed=rng)
     return _sample_classical_backbone_tree(layout, edges, rng)
 

@@ -180,7 +180,8 @@ def tree_recover(
     Petz map.  By Petz's theorem a step is QMC-compatible exactly when its
     output keeps the state it extends, so its defect is their trace distance
     beyond ``eps_m``, else None.  The parent overlap needs no check: edges
-    agree at OVERLAP_TOL, and each later parent marginal is a gated output."""
+    agree at OVERLAP_TOL, and each later parent marginal is a gated output.
+    The final state keeps the spectrum that certifies it (see _petz_state)."""
     steps, root_edge = tree.peel_order()
     state = tree.edge_marginals[root_edge]
     layout = tree.layout.restrict(root_edge)
@@ -202,8 +203,8 @@ def tree_recover(
                 "distance from the state it extends", edge, defect)
         m, layout = sigma, target
     rank_deficient = not all(e.is_full_rank() for e in tree.edge_marginals.values())
-    if steps:  # full-rank edges: a Cholesky certificate (see _petz_state); else one eigh
-        state = _petz_state(m, layout, (parent,), decompose=rank_deficient).state
+    if steps:  # full-rank edges: certified by the spectrum S(sigma) reads; else one eigh
+        state = _petz_state(m, layout, (parent,), rank_deficient, by_spectrum=True).state
     return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qmctree import (
@@ -28,6 +28,7 @@ from qmctree import (
     relative_entropy,
     sample_density,
     sample_markov_path,
+    sample_markov_tree,
     sample_qmc,
     trace_distance,
     tree_recover,
@@ -35,7 +36,13 @@ from qmctree import (
 )
 from qmctree import recovery, states
 from qmctree.layout import LayoutError, embed, local_product
-from qmctree.linalg import HermitianEig, hermitian_eig, matrix_function, support_cutoff
+from qmctree.linalg import (
+    HermitianEig,
+    _hermitian_part,
+    hermitian_eig,
+    matrix_function,
+    support_cutoff,
+)
 from qmctree.recovery import compose_layouts
 
 from conftest import PROPERTY, classical_chain, layouts, local_cases
@@ -74,10 +81,11 @@ def solver_calls(monkeypatch):
 
 @pytest.fixture
 def joint_size_calls(monkeypatch):
-    """(name, shape) of each eigh and Cholesky call on a matrix larger than
-    4 x 4, the largest edge marginal of a qubit tree, in call order."""
+    """(name, shape) of each eigh, eigvalsh and Cholesky call on a matrix
+    larger than 4 x 4, the largest edge marginal of a qubit tree, in call
+    order."""
     calls = []
-    for name in ("eigh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, _name=name, **kwargs):
@@ -225,9 +233,10 @@ class TestSpectrumKept:
         joint_size_calls.clear()
         result = tree_recover(tree)
         assert len(result.step_defects) == 3
-        # full-rank edges: no eigh at the joint's D, only the final state's
-        # Cholesky certificate; the eighs left are the edge marginals'
-        assert joint_size_calls == [("cholesky", (32, 32))]
+        # full-rank edges: no eigh or Cholesky at the joint's D, only the
+        # final state's eigvalsh certificate, the spectrum S(sigma) reads;
+        # the eighs left are the edge marginals'
+        assert joint_size_calls == [("eigvalsh", (32, 32))]
         assert trace_distance(result.state.matrix, joint.matrix) < 1e-8
 
     def test_rank_deficient_edge_takes_one_eigh(self, joint_size_calls):
@@ -244,6 +253,49 @@ class TestSpectrumKept:
         assert joint_size_calls == [("eigh", (8, 8))]
         assert learned.gap.total == relative_entropy(joint, learned.estimator)
         assert abs(learned.gap.total) < 1e-10
+
+    def test_learn_tree_certifies_by_the_spectrum_it_reads(self, joint_size_calls):
+        # a full-rank five-qubit Markov tree with a branch: the one solver
+        # call at the joint's D is the estimator's eigvalsh, which certifies
+        # it and which the ledger's S(sigma) reads
+        layout = SubsystemLayout(tuple("ABCDE"), (2,) * 5)
+        edges = (("A", "B"), ("B", "C"), ("B", "D"), ("D", "E"))
+        joint = sample_markov_tree(layout, edges, seed=24)
+        joint_size_calls.clear()
+        learned = learn_tree(joint)
+        assert learned.tree.edges == edges
+        assert all(e.is_full_rank() for e in learned.tree.edge_marginals.values())
+        assert [c for c in joint_size_calls if c[1] == (32, 32)] == [("eigvalsh", (32, 32))]
+        # the calls at 4 < D' < 32 are spectra of the estimator's marginals
+        assert {name for name, _ in joint_size_calls} == {"eigvalsh"}
+        m = learned.estimator.matrix
+        np.testing.assert_array_equal(learned.estimator.eigenvalues(),
+                                      np.linalg.eigvalsh(_hermitian_part(m)))
+
+    def test_spectrum_below_the_floor_takes_the_eigh_cut(self, monkeypatch,
+                                                          solver_calls):
+        # a final spectrum below -NEGATIVITY_TOL fails the certificate, as
+        # a failed Cholesky does, and one eigh cuts the output instead
+        _, tree = markov_path_tree(tuple("ABCDE"), seed=21)
+        certified = tree_recover(tree).state  # forms every edge fact
+        real = np.linalg.eigvalsh
+
+        def below_the_floor(a, *args, **kwargs):
+            w = real(a, *args, **kwargs)
+            if len(a) == 32:
+                w[0] = -2 * states.NEGATIVITY_TOL
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", below_the_floor)
+        solver_calls.clear()
+        state = tree_recover(tree).state
+        assert solver_calls["eigh"] == 1 and solver_calls["cholesky"] == 0
+        assert "eig" in vars(state)  # kept from the cutting eigh
+        m = state.matrix
+        np.testing.assert_array_equal(m, m.conj().T)
+        assert abs(m.trace().real - 1.0) <= states.TRACE_TOL
+        assert state.eigenvalues()[0] >= 0.0
+        np.testing.assert_allclose(m, certified.matrix, atol=1e-12)
 
     def test_three_step_recovery_work_per_step(self, monkeypatch):
         # per step: one local product forms the BC factor X and two apply
@@ -430,6 +482,26 @@ class TestPetzOutputSpectrum:
         assert "_spectrum" not in vars(out) and "eig" not in vars(out)
         np.testing.assert_allclose(
             reduced.eigenvalues(), np.linalg.eigvalsh(reduced.matrix), atol=1e-12)
+
+    @PROPERTY
+    @given(case=petz_cases())
+    def test_lazy_spectrum_equals_eigvalsh_of_hermitian_part(self, case):
+        # a certified output is m + m^dagger scaled, Hermitian to the bit, so
+        # its spectrum, taken from the matrix itself, is the one taken from
+        # the copy (m + m^dagger) / 2 to the bit
+        dims, groups, joint_order, _, t, seed = case
+        labels = "ABCD"[:len(dims)]
+        dim_of, side = dict(zip(labels, dims)), dict(zip(labels, groups))
+        joint = sample_density(
+            SubsystemLayout(joint_order, tuple(dim_of[l] for l in joint_order)),
+            seed=seed,
+        )
+        out = petz_recover(joint.marginal([l for l in labels if side[l] < 2]),
+                           joint.marginal([l for l in labels if side[l] > 0]),
+                           t=t).state
+        assume("_spectrum" not in vars(out) and "eig" not in vars(out))
+        np.testing.assert_array_equal(
+            out.eigenvalues(), np.linalg.eigvalsh(_hermitian_part(out.matrix)))
 
     @PROPERTY
     @given(kind=st.sampled_from(["full", "near_singular", "deficient"]),

@@ -589,3 +589,9 @@ class TestMarkovSamplerProperties:
         layout = SubsystemLayout(("X", "Y"), (2, 3))
         state = sample_markov_tree(layout, [("Y", "X")], seed=seed)
         np.testing.assert_array_equal(state.matrix, sample_density(layout, seed=seed).matrix)
+
+    def test_one_label_equals_sample_density(self):
+        # a single vertex has no separator, so every state is Markov
+        layout = SubsystemLayout(("A",), (2,))
+        state = sample_markov_tree(layout, [], seed=1)
+        np.testing.assert_array_equal(state.matrix, sample_density(layout, seed=1).matrix)
