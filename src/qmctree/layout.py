@@ -132,30 +132,29 @@ def partial_trace(op: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
     follows the parent layout.
     """
     op = _check_square(op, layout)
-    spec, kept_dim = _trace_plan(layout, frozenset(keep))
-    tensor = op.reshape(*layout.dims, *layout.dims)
-    return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
+    spec, dims, kept_dim = _trace_plan(layout, frozenset(keep))
+    return np.einsum(spec, op.reshape(dims)).reshape(kept_dim, kept_dim)
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _trace_plan(layout: SubsystemLayout, keep: frozenset) -> tuple[str, int]:
-    """einsum subscripts and kept dimension of ``partial_trace``."""
+def _trace_plan(layout: SubsystemLayout, keep: frozenset) -> tuple[str, tuple, int]:
+    """einsum subscripts, tensor shape and kept dimension of ``partial_trace``.
+    Unit-dimension factors take no axis, so the dimension cap bounds the
+    letters at 2 log2(DEFAULT_DIM_CAP)."""
     if not keep:
         raise LayoutError("keep must be nonempty")
-    keep_idx = sorted(layout.index(l) for l in keep)
-
-    n = layout.n
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise LayoutError("too many factors for einsum contraction")
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for j in range(n):
+    keep_idx = {layout.index(l) for l in keep}
+    axes = [j for j, d in enumerate(layout.dims) if d > 1]
+    row = dict(zip(axes, string.ascii_letters))
+    col = dict(zip(axes, string.ascii_letters[len(axes):]))
+    for j in axes:
         if j not in keep_idx:
             col[j] = row[j]
-    out = [row[j] for j in keep_idx] + [col[j] for j in keep_idx]
-    spec = "".join(row) + "".join(col) + "->" + "".join(out)
-    return spec, math.prod(layout.dims[j] for j in keep_idx)
+    kept = [j for j in axes if j in keep_idx]
+    out = [row[j] for j in kept] + [col[j] for j in kept]
+    spec = "".join(row.values()) + "".join(col.values()) + "->" + "".join(out)
+    dims = tuple(layout.dims[j] for j in axes) * 2
+    return spec, dims, math.prod(layout.dims[j] for j in keep_idx)
 
 
 def embed(op: np.ndarray, sub: SubsystemLayout, target: SubsystemLayout) -> np.ndarray:

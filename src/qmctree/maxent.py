@@ -241,7 +241,7 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
         )
     # positive, trace one and decomposed by construction: not decomposed again
     eig = HermitianEig(ew / z, v)  # exp keeps eigh's ascending order
-    state = DensityOperator._from_eig(constraints.layout, eig, (rho + rho.conj().T) / 2)
+    state = DensityOperator._certified(constraints.layout, (rho + rho.conj().T) / 2, eig)
     multipliers = tuple((l + l.conj().T) / 2 for l in _split(lam, marginals))
     return MaxEntSolution(multipliers, state, log_z, residual, iterations)
 

@@ -126,7 +126,8 @@ def petz_recover(
                 f"> {eps_m:.1e}"
             )
     m = _petz_product(rho_ab.matrix, rho_bc, t, plan)
-    return _petz_state(m, plan.layout, plan.b, _rank_deficient(rho_ab, rho_bc))
+    return _petz_state(m, plan.layout, plan.b,
+                       "eigh" if _rank_deficient(rho_ab, rho_bc) else "cholesky")
 
 
 def _petz_product(m_ab, rho_bc, t, plan: _PairPlan) -> np.ndarray:
@@ -136,29 +137,27 @@ def _petz_product(m_ab, rho_bc, t, plan: _PairPlan) -> np.ndarray:
 
 
 def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
-                decompose: bool = False, by_spectrum: bool = False) -> RecoveryResult:
+                certificate: str) -> RecoveryResult:
     """The state of the unnormalized Petz output ``m`` (overwritten).
 
     ``m`` is first replaced by m + m^dagger, twice the output and Hermitian
     to the bit, so the one triangle a solver reads stands for the whole
-    matrix.  Unless ``decompose`` is set, it is certified positive by one
-    Cholesky factorization, the state taking its spectrum on first use, or,
-    ``by_spectrum``, by the check every input passes on one ``eigvalsh``
-    (lambda_min >= -NEGATIVITY_TOL), which the state keeps.  When it fails,
-    or ``decompose`` is set, one ``eigh`` cuts rounding's negative
-    eigenvalues from ``m`` and the state keeps it.  A rank-deficient input
-    gives a rank-deficient output, on which a certificate would fail, so
-    callers set ``decompose`` for it.
+    matrix.  ``certificate`` names how the state is certified positive:
+    ``"cholesky"``, by one Cholesky factorization, the state taking its
+    spectrum on first use; ``"spectrum"``, by one ``eigvalsh``, which the
+    state keeps; ``"eigh"``, by one ``eigh`` that cuts rounding's negative
+    eigenvalues from ``m``, which the state keeps.  That cut also serves
+    when either of the others fails.  A rank-deficient input gives a
+    rank-deficient output, on which the others would fail, so callers
+    name ``"eigh"`` for it.
     """
     m += m.conj().T
-    if not decompose and (by_spectrum or _positive_definite(m)):
+    if certificate == "spectrum" or (certificate == "cholesky" and _positive_definite(m)):
         tr = _positive_trace(float(m.trace().real) / 2, b)
         m /= 2 * tr
-        if not by_spectrum:
-            return RecoveryResult(DensityOperator._certified(layout, m), tr)
-        w = np.linalg.eigvalsh(m)
-        if w[0] >= -NEGATIVITY_TOL:
-            return RecoveryResult(DensityOperator._checked(layout, m, w), tr)
+        w = np.linalg.eigvalsh(m) if certificate == "spectrum" else None
+        if w is None or w[0] >= -NEGATIVITY_TOL:
+            return RecoveryResult(DensityOperator._certified(layout, m, w), tr)
         m *= 2 * tr  # the cut below reads the doubled output
     w, v = np.linalg.eigh(m)
     neg = w < 0.0
@@ -168,7 +167,7 @@ def _petz_state(m: np.ndarray, layout: SubsystemLayout, b,
     tr = _positive_trace(float(w.sum()) / 2, b)
     m /= 2 * tr
     w /= 2 * tr
-    return RecoveryResult(DensityOperator._from_eig(layout, HermitianEig(w, v), m), tr)
+    return RecoveryResult(DensityOperator._certified(layout, m, HermitianEig(w, v)), tr)
 
 
 def _positive_definite(m: np.ndarray) -> bool:
@@ -361,5 +360,6 @@ def best_pair_mutual_info(
     best = best_in_tie_order(order, scores.__getitem__)
     ab, bc = (marginals[p] for p in chain_pairs(best))
     _, b, _, layout = compose_layouts(ab, bc)
-    estimator = _petz_state(outputs[best], layout, b, _rank_deficient(ab, bc)).state
+    estimator = _petz_state(outputs[best], layout, b,
+                            "eigh" if _rank_deficient(ab, bc) else "cholesky").state
     return PairSelection(chain_discarded(best), best, scores, estimator)

@@ -45,17 +45,17 @@ class StateError(ValueError):
 class DensityOperator:
     """Hermitian, PSD, trace-one matrix bound to a SubsystemLayout.
 
-    A state keeps, each formed at most once and read-only: its spectrum,
-    which serves every eigenvalue query (computed to validate an input
-    state, a marginal or a tree estimator; a Petz output certified by a
-    Cholesky factorization takes it on first use, read from ``eig`` when
-    that is formed first); whether it is full rank; one
-    eigendecomposition, ``eig``, formed on first use (an uncertified Petz
-    output and a max-entropy state are given theirs); rho^1/2, formed on
-    first use; the reduced state on each label set
-    (``marginal``); and, per shared label set B, the t = 0 Petz factor
-    rho^1/2 (rho_B^-1/2 (x) 1) that the normality test also uses when it
-    reads this state as rho_BC (``recovery._bc_factor``).
+    The constructor validates an outside matrix: its shape, Hermiticity,
+    one ``eigvalsh`` checked at lambda_min >= -NEGATIVITY_TOL, and its
+    trace.  A state the library builds is Hermitian to the bit and names
+    its certificate (``_certified``): a spectrum, a decomposition, or a
+    Cholesky success; its shape, floor and trace are checked alike.  A
+    state keeps, each formed at most once and read-only: its spectrum,
+    which serves every eigenvalue query; whether it is full rank; ``eig``;
+    rho^1/2; the reduced state on each label set (``marginal``); and, per
+    shared label set B, the t = 0 Petz factor rho^1/2 (rho_B^-1/2 (x) 1)
+    that the normality test also uses when it reads this state as rho_BC
+    (``recovery._bc_factor``).
     A complex128 ``matrix`` is adopted without a copy and made read-only,
     so pass a copy to keep your own array writable; other dtypes are
     converted into a new array.  States compare and hash by identity.
@@ -65,58 +65,43 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self._validate(np.asarray(self.matrix, dtype=complex))
+        m = self._square(np.asarray(self.matrix, dtype=complex))
+        if not is_hermitian(m):
+            raise StateError("matrix is not Hermitian within tolerance")
+        self._keep(m, np.linalg.eigvalsh(_hermitian_part(m)), NEGATIVITY_TOL)
 
     @classmethod
-    def _checked(cls, layout, m, w, floor=NEGATIVITY_TOL) -> "DensityOperator":
-        """``cls(layout, m)`` for an ``m`` that is Hermitian by construction,
-        with spectrum ``w``: Hermiticity is not tested again, and negative
-        eigenvalues down to ``-floor`` are allowed."""
+    def _certified(cls, layout, m, certificate, floor=NEGATIVITY_TOL) -> "DensityOperator":
+        """The state ``m``, Hermitian to the bit, with its certificate of
+        positivity: an ascending spectrum or a ``HermitianEig``, either
+        kept and checked at lambda_min >= -``floor``, or None when a
+        Cholesky factorization of ``m`` succeeded (the spectrum is then
+        taken on first use)."""
         state = object.__new__(cls)
         object.__setattr__(state, "layout", layout)
-        state._validate(m, w, floor)
+        if isinstance(certificate, HermitianEig):
+            _freeze(certificate.eigenvectors)
+            object.__setattr__(state, "eig", certificate)  # fills the cached property
+            certificate = certificate.eigenvalues
+        state._keep(state._square(m), certificate, floor)
         return state
 
-    @classmethod
-    def _from_eig(cls, layout, eig: HermitianEig, m) -> "DensityOperator":
-        """The state ``m``, whose decomposition is ``eig``, checked on its
-        known spectrum."""
-        state = cls._checked(layout, m, eig.eigenvalues)
-        _freeze(eig.eigenvectors)
-        object.__setattr__(state, "eig", eig)  # fills the cached property
-        return state
-
-    @classmethod
-    def _certified(cls, layout, m) -> "DensityOperator":
-        """``cls(layout, m)`` for an ``m`` that is Hermitian by construction
-        and certified positive definite (its Cholesky factorization
-        succeeded): only the trace is checked, and the spectrum is left to
-        first use."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "layout", layout)
-        state._adopt(m)
-        return state
-
-    def _validate(self, m: np.ndarray, w: np.ndarray | None = None,
-                  floor: float = NEGATIVITY_TOL):
+    def _square(self, m: np.ndarray) -> np.ndarray:
+        """``m``, when it has the layout's D x D shape."""
         if m.shape != (self.layout.dim, self.layout.dim):
             raise StateError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
-        if w is None:
-            if not is_hermitian(m):
-                raise StateError("matrix is not Hermitian within tolerance")
-            w = np.linalg.eigvalsh(_hermitian_part(m))
-        # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
-        if not w[0] >= -floor:
-            raise StateError(f"negative eigenvalue {w[0]:.3e}")
-        self._adopt(m)
-        _freeze(w)
-        object.__setattr__(self, "_spectrum", w)  # fills the cached property
+        return m
 
-    def _adopt(self, m: np.ndarray):
-        """Check the trace of ``m``, then freeze it as the matrix, with empty
-        stores for the states and factors derived from it."""
+    def _keep(self, m: np.ndarray, w: np.ndarray | None, floor: float):
+        """The checks every state passes on its spectrum ``w`` (None for a
+        Cholesky-certified state) and trace, then ``m`` and ``w`` frozen as
+        the matrix and spectrum, with empty stores for the states and
+        factors derived from them."""
+        # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
+        if w is not None and not w[0] >= -floor:
+            raise StateError(f"negative eigenvalue {w[0]:.3e}")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace is {tr}, expected 1")
@@ -124,11 +109,14 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_marginals", {})  # label set -> reduced state
         object.__setattr__(self, "_bc_factors", {})  # label set -> t = 0 BC factor
+        if w is not None:
+            _freeze(w)
+            object.__setattr__(self, "_spectrum", w)  # fills the cached property
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """The ascending spectrum of a certified state, Hermitian to the bit:
-        read from ``eig`` when that is formed, else one ``eigvalsh``."""
+        """The ascending spectrum of a Cholesky-certified state, Hermitian to
+        the bit: read from ``eig`` when that is formed, else one ``eigvalsh``."""
         if "eig" in vars(self):
             return self.eig.eigenvalues
         w = np.linalg.eigvalsh(self.matrix)
@@ -151,7 +139,7 @@ class DensityOperator:
     @cached_property
     def eig(self) -> HermitianEig:
         """Eigendecomposition of the matrix, computed on first use."""
-        # validation tested Hermiticity: decompose without testing again
+        # every state is Hermitian within tolerance: decompose without testing again
         eig = HermitianEig(*np.linalg.eigh(_hermitian_part(self.matrix)))
         _freeze(eig.eigenvalues, eig.eigenvectors)
         return eig
@@ -176,7 +164,7 @@ class DensityOperator:
                 NEGATIVITY_TOL if w is None else max(NEGATIVITY_TOL, -float(w[0])))
             # the partial trace of a Hermitian matrix is Hermitian
             reduced = partial_trace(self.matrix, self.layout, keep)
-            self._marginals[keep] = self._checked(
+            self._marginals[keep] = self._certified(
                 layout, reduced, np.linalg.eigvalsh(_hermitian_part(reduced)), floor)
         return self._marginals[keep]
 
@@ -234,7 +222,7 @@ def distance_violation(ma: np.ndarray, mb: np.ndarray, tol: float) -> float | No
 
 def maximally_mixed(layout: SubsystemLayout) -> DensityOperator:
     d = layout.dim
-    return DensityOperator(layout, np.eye(d, dtype=complex) / d)
+    return DensityOperator._certified(layout, np.eye(d, dtype=complex) / d, np.full(d, 1 / d))
 
 
 def classical_state(layout: SubsystemLayout, probs: np.ndarray) -> DensityOperator:
@@ -443,9 +431,7 @@ def sample_qmc(spec: QmcSpec, seed=None) -> DensityOperator:
     # U* on its column axis, as broadcast products
     u = random_unitary(db, rng)
     full = (u @ full.reshape(da, db, -1)).reshape(-1, db, dc)
-    full = (u.conj() @ full).reshape(layout.dim, layout.dim)
-    full = (full + full.conj().T) / 2
-    return DensityOperator(layout, full / np.trace(full).real)
+    return _certified_sample(layout, (u.conj() @ full).reshape(layout.dim, layout.dim))
 
 
 def sample_markov_path(
@@ -530,9 +516,17 @@ def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:
                                   for _ in range(dims[p])]))
     spec = ",".join(terms) + "->" + "".join(row.values()) + "".join(col.values())
     full = np.einsum(spec, *map(np.squeeze, operands), optimize="greedy")
-    full = full.reshape(layout.dim, layout.dim)
-    full = (full + full.conj().T) / 2
-    return DensityOperator(layout, full / np.trace(full).real)
+    return _certified_sample(layout, full.reshape(layout.dim, layout.dim))
+
+
+def _certified_sample(layout, full: np.ndarray) -> DensityOperator:
+    """The state of a sampler's fresh PSD matrix ``full``: its Hermitian
+    part, Hermitian to the bit, normalized in place and certified by its
+    spectrum."""
+    full += full.conj().T
+    full /= 2
+    full /= np.trace(full).real
+    return DensityOperator._certified(layout, full, np.linalg.eigvalsh(full))
 
 
 def _random_dist(rng, n: int) -> np.ndarray:

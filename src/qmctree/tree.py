@@ -204,7 +204,8 @@ def tree_recover(
         m, layout = sigma, target
     rank_deficient = not all(e.is_full_rank() for e in tree.edge_marginals.values())
     if steps:  # full-rank edges: certified by the spectrum S(sigma) reads; else one eigh
-        state = _petz_state(m, layout, (parent,), rank_deficient, by_spectrum=True).state
+        state = _petz_state(m, layout, (parent,),
+                            "eigh" if rank_deficient else "spectrum").state
     return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))
 
 

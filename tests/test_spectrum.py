@@ -24,6 +24,7 @@ from qmctree import (
     best_pair_mutual_info,
     check_qmc_compatibility,
     learn_tree,
+    maximally_mixed,
     petz_recover,
     relative_entropy,
     sample_density,
@@ -329,7 +330,7 @@ class TestSpectrumKept:
         layout = SubsystemLayout(("A",), (2,))
         eig = hermitian_eig(np.diag([0.7, 0.5]).astype(complex))
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator._from_eig(layout, eig, eig.reconstruct())
+            DensityOperator._certified(layout, eig.reconstruct(), eig)
 
 
 class TestPetzOutputSpectrum:
@@ -447,7 +448,7 @@ class TestPetzOutputSpectrum:
         m[entry] = value
         with pytest.raises(recovery.RecoveryError, match=re.escape(f"trace {shown}:")):
             recovery._petz_state(m, SubsystemLayout(("A", "B"), (2, 2)), ("B",),
-                                 decompose)
+                                 "eigh" if decompose else "cholesky")
 
     def test_first_spectrum_query_takes_one_eigvalsh(self, solver_calls):
         ab, bc = self.warm_pair(seed=45)
@@ -522,6 +523,46 @@ class TestPetzOutputSpectrum:
         assert out.eigenvalues()[0] >= -states.NEGATIVITY_TOL
         assert abs(m.trace().real - 1.0) <= states.TRACE_TOL
         np.testing.assert_array_equal(m, m.conj().T)
+
+
+class TestLibraryStateCertificates:
+    """A state the library builds is Hermitian to the bit and keeps the
+    certificate it was built with: a sampled state one eigvalsh of its own
+    matrix, with no Hermiticity test and no copy; the maximally mixed
+    state its known spectrum, with no solver call."""
+
+    SAMPLERS = {
+        "qmc": lambda seed: sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=seed),
+        "tree": lambda seed: sample_markov_tree(
+            SubsystemLayout(tuple("ABCDE"), (2, 3, 2, 3, 2)),
+            [("A", "B"), ("B", "C"), ("C", "D"), ("C", "E")], seed=seed),
+    }
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_sampled_state_takes_one_eigvalsh(self, solver_calls, monkeypatch, sampler):
+        tested = []
+        monkeypatch.setattr(states, "is_hermitian", lambda op: tested.append(op) or True)
+        state = self.SAMPLERS[sampler](5)
+        assert not tested
+        assert solver_calls == Counter(eigvalsh=1)
+        assert len(state.eigenvalues()) == state.layout.dim  # kept: that one was at D
+        assert solver_calls == Counter(eigvalsh=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_kept_spectrum_is_eigvalsh_of_hermitian_part(self, sampler, seed):
+        state = self.SAMPLERS[sampler](seed)
+        np.testing.assert_array_equal(
+            state.eigenvalues(), np.linalg.eigvalsh(_hermitian_part(state.matrix)))
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 3), (4, 4, 2)])
+    def test_maximally_mixed_takes_no_solver(self, solver_calls, dims):
+        layout = SubsystemLayout(tuple("ABC"[:len(dims)]), dims)
+        state = maximally_mixed(layout)
+        w = state.eigenvalues()
+        assert not solver_calls
+        np.testing.assert_array_equal(w, np.full(layout.dim, 1 / layout.dim))
+        np.testing.assert_array_equal(w, np.linalg.eigvalsh(state.matrix))
 
 
 class TestPairFactsOnce:

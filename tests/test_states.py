@@ -575,14 +575,30 @@ class TestMarkovSamplerProperties:
 
     def test_path_of_unit_factors(self):
         # 30 labels need more einsum subscripts than there are letters, but
-        # the 28 unit factors need none; partial_trace takes no more than 26
-        # factors, so no conditional mutual information is checked here
+        # the 28 unit factors need none (their marginals and conditional
+        # mutual information are checked below)
         labels = tuple(f"v{i}" for i in range(30))
         dims = tuple(2 if i in (3, 17) else 1 for i in range(30))
         state = sample_markov_path(labels, dims, seed=4)
         assert state.matrix.shape == (4, 4)
         assert abs(np.trace(state.matrix).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(state.matrix)[0] >= -NEGATIVITY_TOL
+
+    def test_path_of_unit_factors_marginals_and_cmi(self):
+        # partial_trace gives the unit factors no einsum letter either, so
+        # the 30-label path has marginals; every separator between v3 and
+        # v17 is unit, so they are independent
+        labels = tuple(f"v{i}" for i in range(30))
+        dims = tuple(2 if i in (3, 17) else 1 for i in range(30))
+        state = sample_markov_path(labels, dims, seed=4)
+        pair = state.marginal(("v3", "v4"))
+        assert pair.layout == SubsystemLayout(("v3", "v4"), (2, 1))
+        np.testing.assert_allclose(pair.matrix, state.marginal(("v3",)).matrix,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state.marginal(("v3", "v17")).matrix, state.matrix,
+                                   rtol=0, atol=1e-15)
+        cmi = conditional_mutual_information(state, labels[:10], labels[10:12], labels[12:])
+        assert abs(cmi) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_two_labels_equal_sample_density(self, seed):
