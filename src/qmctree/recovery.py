@@ -239,7 +239,6 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n):
     """The report and theta theta^dagger (the t = 0 Petz output)."""
     plan = _pair_plan(rho_ab.layout, rho_bc.layout, None)
     marg_res = overlap_distance(rho_ab, rho_bc, plan.shared)
-    rank_deficient = _rank_deficient(rho_ab, rho_bc)
 
     # theta = rho_BC^1/2 rho_B^-1/2 rho_AB^1/2, the first two acting on BC only
     theta = _apply(plan.left, _bc_factor(rho_bc, plan, 0.5), rho_ab._sqrt)
@@ -251,6 +250,8 @@ def _normality_test(rho_ab, rho_bc, eps_m, eps_n):
     sa_res = frobenius(theta - theta_h) / max(norm, 1e-300)
 
     verdict = marg_res <= eps_m and norm_res <= eps_n
+    # read after theta, so the ranks come from the spectra its roots formed
+    rank_deficient = _rank_deficient(rho_ab, rho_bc)
     return CompatReport(marg_res, norm_res, sa_res, rank_deficient, verdict, eps_m, eps_n), tt
 
 

@@ -47,14 +47,15 @@ class DensityOperator:
 
     The constructor validates an outside matrix: its shape, Hermiticity,
     one ``eigvalsh`` checked at lambda_min >= -NEGATIVITY_TOL, and its
-    trace.  A state the library builds is Hermitian to the bit and names
-    its certificate (``_certified``): a spectrum, a decomposition, or a
-    Cholesky success; its shape, floor and trace are checked alike.  A
-    state keeps, each formed at most once and read-only: its spectrum,
-    which serves every eigenvalue query; whether it is full rank; ``eig``;
-    rho^1/2; the reduced state on each label set (``marginal``); and, per
-    shared label set B, the t = 0 Petz factor rho^1/2 (rho_B^-1/2 (x) 1)
-    that the normality test also uses when it reads this state as rho_BC
+    trace.  A Petz output, a sample or a Gibbs state is Hermitian to the
+    bit and names its certificate (``_certified``): a spectrum, a
+    decomposition, or a Cholesky success.  A marginal is certified by the
+    state it reduces and takes its spectrum on first read.  A state keeps,
+    each formed at most once and read-only: its spectrum, which serves
+    every eigenvalue query; whether it is full rank; ``eig``; rho^1/2; the
+    reduced state on each label set (``marginal``); and, per shared label
+    set B, the t = 0 Petz factor rho^1/2 (rho_B^-1/2 (x) 1) that the
+    normality test also uses when it reads this state as rho_BC
     (``recovery._bc_factor``).
     A complex128 ``matrix`` is adopted without a copy and made read-only,
     so pass a copy to keep your own array writable; other dtypes are
@@ -68,22 +69,23 @@ class DensityOperator:
         m = self._square(np.asarray(self.matrix, dtype=complex))
         if not is_hermitian(m):
             raise StateError("matrix is not Hermitian within tolerance")
-        self._keep(m, np.linalg.eigvalsh(_hermitian_part(m)), NEGATIVITY_TOL)
+        self._keep(m, np.linalg.eigvalsh(_hermitian_part(m)))
 
     @classmethod
-    def _certified(cls, layout, m, certificate, floor=NEGATIVITY_TOL) -> "DensityOperator":
-        """The state ``m``, Hermitian to the bit, with its certificate of
-        positivity: an ascending spectrum or a ``HermitianEig``, either
-        kept and checked at lambda_min >= -``floor``, or None when a
-        Cholesky factorization of ``m`` succeeded (the spectrum is then
-        taken on first use)."""
+    def _certified(cls, layout, m, certificate) -> "DensityOperator":
+        """The state ``m`` with its certificate of positivity: an ascending
+        spectrum or a ``HermitianEig`` of ``m`` (then Hermitian to the
+        bit), kept and checked at lambda_min >= -NEGATIVITY_TOL; or None,
+        the spectrum then taken on first read, when a Cholesky
+        factorization of ``m`` succeeded or ``m`` is a partial trace of a
+        state, which is Hermitian and positive because that state is."""
         state = object.__new__(cls)
         object.__setattr__(state, "layout", layout)
         if isinstance(certificate, HermitianEig):
             _freeze(certificate.eigenvectors)
             object.__setattr__(state, "eig", certificate)  # fills the cached property
             certificate = certificate.eigenvalues
-        state._keep(state._square(m), certificate, floor)
+        state._keep(state._square(m), certificate)
         return state
 
     def _square(self, m: np.ndarray) -> np.ndarray:
@@ -94,13 +96,13 @@ class DensityOperator:
             )
         return m
 
-    def _keep(self, m: np.ndarray, w: np.ndarray | None, floor: float):
-        """The checks every state passes on its spectrum ``w`` (None for a
-        Cholesky-certified state) and trace, then ``m`` and ``w`` frozen as
-        the matrix and spectrum, with empty stores for the states and
+    def _keep(self, m: np.ndarray, w: np.ndarray | None):
+        """The checks every state passes on its spectrum ``w`` (None when
+        it is taken on first read) and trace, then ``m`` and ``w`` frozen
+        as the matrix and spectrum, with empty stores for the states and
         factors derived from them."""
         # eigvalsh and HermitianEig spectra ascend; a NaN spectrum fails too
-        if w is not None and not w[0] >= -floor:
+        if w is not None and not w[0] >= -NEGATIVITY_TOL:
             raise StateError(f"negative eigenvalue {w[0]:.3e}")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -115,11 +117,12 @@ class DensityOperator:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """The ascending spectrum of a Cholesky-certified state, Hermitian to
-        the bit: read from ``eig`` when that is formed, else one ``eigvalsh``."""
+        """The ascending spectrum of a state certified without one (a
+        Cholesky-certified Petz output or a marginal): read from ``eig``
+        when that is formed, else one ``eigvalsh`` of the Hermitian part."""
         if "eig" in vars(self):
             return self.eig.eigenvalues
-        w = np.linalg.eigvalsh(self.matrix)
+        w = np.linalg.eigvalsh(_hermitian_part(self.matrix))
         _freeze(w)
         return w
 
@@ -150,22 +153,15 @@ class DensityOperator:
 
     def marginal(self, keep) -> "DensityOperator":
         """The reduced state on ``keep``, built on first use and then kept,
-        so every caller shares it and its one decomposition."""
+        so every caller shares it and its one decomposition.  It is
+        certified by this state, since lambda_min(Tr_C rho) >=
+        d_C lambda_min(rho), and takes its spectrum on first read."""
         keep = frozenset(keep)
         if keep not in self._marginals:
             if keep == frozenset(self.labels):
                 return self
-            layout = self.layout.restrict(keep)
-            # lambda_min(Tr_C rho) >= d_C lambda_min(rho), so the floor
-            # scales with the traced-out dimension d_C; a state built
-            # without its spectrum was certified positive definite
-            w = vars(self).get("_spectrum")
-            floor = self.layout.dim // layout.dim * (
-                NEGATIVITY_TOL if w is None else max(NEGATIVITY_TOL, -float(w[0])))
-            # the partial trace of a Hermitian matrix is Hermitian
-            reduced = partial_trace(self.matrix, self.layout, keep)
             self._marginals[keep] = self._certified(
-                layout, reduced, np.linalg.eigvalsh(_hermitian_part(reduced)), floor)
+                self.layout.restrict(keep), partial_trace(self.matrix, self.layout, keep), None)
         return self._marginals[keep]
 
     def eigenvalues(self) -> np.ndarray:

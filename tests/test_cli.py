@@ -385,6 +385,13 @@ class TestSelect:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_pairs_given_a_tripartite_file_exit_two(self, qmc_files, tmp_path, capsys):
+        state, ab, bc = qmc_files
+        joint = tmp_path / "joint.json"
+        write_density(joint, state)
+        assert main(["select", "--pairs", str(joint), ab, bc]) == 2
+        assert capsys.readouterr().err == f"error: {joint}: expected a bipartite marginal\n"
+
 
 class TestTreeCommand:
     def test_joint_input(self, tmp_path, capsys):
@@ -532,6 +539,41 @@ class TestDiagram:
         assert len(captured.err.splitlines()) == 1
 
 
+class TestSolverFailure:
+    """A max-entropy solve that does not converge, or whose targets no
+    state meets, exits 1 with one error line and writes no output."""
+
+    def sample(self, tmp_path, *argv):
+        out = str(tmp_path / "s.json")
+        assert main(["sample", *argv, "-o", out,
+                     "--marginal", "A,B", "--marginal", "B,C"]) == 0
+        return f"{out}.AB.json", f"{out}.BC.json"
+
+    def test_non_convergence_exit_one(self, tmp_path, monkeypatch, capsys):
+        pair = self.sample(tmp_path, "--kind", "qmc", "--seed", "7")
+        monkeypatch.setattr(qmctree.maxent, "MAX_ITER", 1)
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["recover", *pair, "--method", "maxent", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dual solver stopped at residual ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infeasible_targets_exit_one(self, tmp_path, capsys):
+        # the marginals of a pure joint are rank deficient and every Gibbs
+        # state is full rank, so the multipliers of the diagram's
+        # max-entropy solve grow without bound
+        pair = self.sample(tmp_path, "--kind", "random", "--rank", "1", "--seed", "3")
+        capsys.readouterr()
+        assert main(["diagram", *pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: multiplier norm exceeded 1.0e+03")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestCounterexample:
     def test_generic_finds_failures(self, capsys):
         assert main(["counterexample", "--samples", "20", "--seed", "7"]) == 0
@@ -591,6 +633,12 @@ class TestSample:
         ]) == 0
         state = read_density(out)
         assert state.layout.dim_of("B") == 4
+
+    def test_label_and_dim_counts_mismatch_exit_two(self, tmp_path, capsys):
+        assert main(["sample", "--labels", "A,B", "--dims", "2",
+                     "-o", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: 2 labels but 1 dims\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_blocks_exit_two(self, tmp_path):
         assert main([

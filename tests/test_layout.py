@@ -37,6 +37,10 @@ class TestLayout:
         assert L_ABC.restrict(("A", "C")).labels == ("A", "C")
         assert L_ABC.complement(("B",)) == ("A", "C")
 
+    def test_label_and_dim_counts_must_match(self):
+        with pytest.raises(LayoutError, match="2 labels but 1 dims"):
+            SubsystemLayout(("A", "B"), (2,))
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LayoutError):
             SubsystemLayout(("A", "A"), (2, 2))

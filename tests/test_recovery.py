@@ -26,6 +26,7 @@ from qmctree import (
     trace_distance,
     von_neumann_entropy,
 )
+from qmctree.layout import LayoutError
 from qmctree.linalg import frobenius
 from qmctree.recovery import (
     IncompatiblePairsError,
@@ -327,6 +328,29 @@ class TestPairSelection:
                 ).state
                 gaps[chain] = relative_entropy(joint, est)
             assert gaps[selection.chain] <= min(gaps.values()) + 1e-9
+
+
+class TestInputErrors:
+    """Each public entry point refuses malformed input with its message."""
+
+    def test_petz_target_on_other_labels(self):
+        _, ab, bc = qmc_pair(seed=8)
+        target = SubsystemLayout(("A", "B", "D"), (2, 4, 2))
+        with pytest.raises(LayoutError, match="target layout labels do not match the marginals"):
+            petz_recover(ab, bc, target=target)
+
+    def test_min_entropy_without_estimators(self):
+        marginals = pairwise_marginals(sample_density(L3Q, seed=9))
+        with pytest.raises(RecoveryError, match="no estimators supplied"):
+            best_pair_min_entropy(marginals, {})
+        estimator = sample_density(L3Q, seed=10)
+        with pytest.raises(RecoveryError, match="estimators do not match any tripartite chain"):
+            best_pair_min_entropy(marginals, {("A", "C", "B"): estimator})
+
+    def test_mutual_info_on_four_labels(self):
+        joint = sample_density(SubsystemLayout(tuple("ABCD"), (2, 2, 2, 2)), seed=11)
+        with pytest.raises(LayoutError, match="mutual-information selection expects three factors"):
+            best_pair_mutual_info(joint)
 
 
 class TestRelativeEntropyGap:

@@ -7,6 +7,7 @@ Eigendecompositions are counted by wrapping ``numpy.linalg.eigh`` and
 ``numpy.linalg.cholesky``), so the counts do not depend on the machine.
 """
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -18,19 +19,23 @@ from hypothesis import strategies as st
 
 from qmctree import (
     DensityOperator,
+    MarginalSet,
     QmcSpec,
     QuantumTree,
     SubsystemLayout,
     best_pair_mutual_info,
     check_qmc_compatibility,
     learn_tree,
+    marginal_constraints,
     maximally_mixed,
+    partial_trace,
     petz_recover,
     relative_entropy,
     sample_density,
     sample_markov_path,
     sample_markov_tree,
     sample_qmc,
+    solve_maxent,
     trace_distance,
     tree_recover,
     von_neumann_entropy,
@@ -473,12 +478,15 @@ class TestPetzOutputSpectrum:
         assert solver_calls == Counter(eigh=1)
 
     def test_marginal_of_certified_output_forms_no_spectrum(self, solver_calls):
-        # a certified output has lambda_min > 0, so its marginals' floor
-        # needs no spectrum of the output: only the marginal's own
+        # a marginal is certified by the output it reduces: forming it takes
+        # no solver, and its own spectrum is one eigvalsh on first read;
+        # the output is never decomposed
         ab, bc = self.warm_pair(seed=47)
         out = petz_recover(ab, bc, t=0.7).state
         solver_calls.clear()
         reduced = out.marginal(("A", "C"))
+        assert not solver_calls
+        reduced.eigenvalues()
         assert solver_calls == Counter(eigvalsh=1)
         assert "_spectrum" not in vars(out) and "eig" not in vars(out)
         np.testing.assert_allclose(
@@ -563,6 +571,90 @@ class TestLibraryStateCertificates:
         assert not solver_calls
         np.testing.assert_array_equal(w, np.full(layout.dim, 1 / layout.dim))
         np.testing.assert_array_equal(w, np.linalg.eigvalsh(state.matrix))
+
+
+def record_eig_calls(patch, record):
+    """Wrap numpy's Hermitian eigensolvers through ``patch`` (a
+    MonkeyPatch), so that each call first passes its name and matrix to
+    ``record``."""
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            record(_name, a)
+            return _real(a, *args, **kwargs)
+
+        patch.setattr(np.linalg, name, counted)
+
+
+@st.composite
+def certified_parents(draw):
+    """A state of each kind whose marginals the library forms: an outside
+    Hilbert-Schmidt matrix, a sampled Markov tree, a Petz output or a
+    max-entropy state, on two to four factors of dimension 1 to 3 (three
+    of dimension 1 or 2 for the solver)."""
+    kind = draw(st.sampled_from(["outside", "tree", "petz", "maxent"]))
+    n = draw(st.integers(*{"petz": (3, 4), "maxent": (3, 3)}.get(kind, (2, 4))))
+    top = 2 if kind == "maxent" else 3
+    dims = tuple(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
+    labels = tuple(draw(st.permutations("ABCD"[:n])))
+    layout = SubsystemLayout(labels, dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    path = list(zip(labels, labels[1:]))
+    if kind == "outside":
+        return sample_density(layout, seed=seed)
+    if kind == "tree":
+        return sample_markov_tree(layout, path, seed=seed)
+    # marginals on A B and B C, with B the second label and C the rest
+    joint = sample_density(layout, seed=seed)
+    ab, bc = joint.marginal(labels[:2]), joint.marginal(labels[1:])
+    if kind == "petz":
+        return petz_recover(ab, bc, t=draw(st.sampled_from([0.0, 0.7]))).state
+    return solve_maxent(marginal_constraints(MarginalSet(layout, (ab, bc)))).state
+
+
+class TestMarginalCertifiedByParent:
+    """A marginal is a partial trace of a state the library has certified,
+    so it is certified by that state: forming it takes no solver, and its
+    spectrum is taken on first read, from ``eig`` when that was formed
+    first, else by one eigvalsh of its Hermitian part."""
+
+    @PROPERTY
+    @given(parent=certified_parents(), eig_first=st.booleans())
+    def test_marginal_takes_its_spectrum_on_first_read(self, parent, eig_first):
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            record_eig_calls(mp, lambda name, a: calls.update([name]))
+            labels = parent.labels
+            keeps = [k for r in range(1, len(labels))
+                     for k in itertools.combinations(labels, r)]
+            reduced = [parent.marginal(k) for k in keeps]
+        assert not calls
+        for keep, m in zip(keeps, reduced):
+            np.testing.assert_array_equal(
+                m.matrix, partial_trace(parent.matrix, parent.layout, keep))
+            if eig_first:
+                eig = m.eig
+                assert m.eigenvalues() is eig.eigenvalues
+            else:
+                np.testing.assert_array_equal(
+                    m.eigenvalues(), np.linalg.eigvalsh(_hermitian_part(m.matrix)))
+
+    def test_check_decomposes_each_marginal_by_one_eigh(self, monkeypatch):
+        # from their forming on, rho_AB^1/2 and the BC factor decompose
+        # the two marginals, and the ranks the report reads come from
+        # those eighs: no eigvalsh of either; the other calls are rho_B's
+        # eigh and the overlap's trace distance
+        calls = []
+        record_eig_calls(monkeypatch, lambda name, a: calls.append((name, np.array(a))))
+        state = sample_qmc(QmcSpec(2, 2, ((0.5, 1, 2), (0.5, 2, 1))), seed=11)
+        calls.clear()
+        rho_ab, rho_bc = state.marginal(("A", "B")), state.marginal(("B", "C"))
+        assert check_qmc_compatibility(rho_ab, rho_bc).verdict
+        for rho in (rho_ab, rho_bc):
+            assert [name for name, a in calls if a.shape == rho.matrix.shape
+                    and np.allclose(a, rho.matrix)] == ["eigh"]
+        assert Counter(name for name, _ in calls) == Counter(eigh=3, eigvalsh=1)
 
 
 class TestPairFactsOnce:

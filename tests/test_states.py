@@ -25,7 +25,7 @@ from qmctree import (
     von_neumann_entropy,
 )
 from qmctree.fileio import FileFormatError, read_density, write_operator
-from qmctree.layout import embed
+from qmctree.layout import LayoutError, embed
 from qmctree.linalg import NEGATIVITY_TOL
 from qmctree.states import StateError, overlap_distance, overlap_violation
 
@@ -100,7 +100,8 @@ class TestDensityOperator:
 
     def test_marginal_floor_scales_with_traced_dimension(self):
         # lambda_min = -9e-11 is within the constructor's floor, and tracing
-        # out the four-dimensional C sums four such entries into -3.6e-10
+        # out the four-dimensional C sums four such entries into -3.6e-10;
+        # the marginal is certified by its parent, so no floor refuses it
         layout = SubsystemLayout(("A", "B", "C"), (2, 2, 4))
         p = np.full(16, (1 + 3.6e-10) / 12)
         p[:4] = -0.9e-10
@@ -132,6 +133,28 @@ class TestDensityOperator:
         real = np.eye(2) / 2
         DensityOperator(L2, real)
         real[0, 0] = 0.7
+
+
+class TestInputErrors:
+    """Each public entry point refuses malformed input with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: DensityOperator(SubsystemLayout(("A", "B"), (2, 2)), np.eye(2) / 2),
+         StateError, r"matrix shape \(2, 2\) does not match layout dim 4"),
+        (lambda: relative_entropy(maximally_mixed(L2),
+                                  maximally_mixed(SubsystemLayout(("B",), (2,)))),
+         LayoutError, "relative entropy requires matching layouts"),
+        (lambda: conditional_mutual_information(maximally_mixed(L3Q), ("A",), ("B",), ("B",)),
+         LayoutError, "must partition"),
+        (lambda: QmcSpec(2, 2, ((1.0, 0, 2),)),
+         StateError, "block dimensions must be >= 1"),
+        (lambda: sample_markov_path(("A",), (2,), seed=0),
+         StateError, "a path needs at least two vertices"),
+    ], ids=["shape", "relative_entropy_layouts", "cmi_blocks", "qmc_block_dim",
+            "one_label_path"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestMarginalSet:

@@ -189,6 +189,43 @@ class TestQuantumTree:
         assert root_edge == ("B", "D")
 
 
+class TestInputErrors:
+    """Each public entry point refuses malformed input with its message."""
+
+    @staticmethod
+    def path_tree():
+        joint = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=6)
+        edges = (("A", "B"), ("B", "C"))
+        return joint, QuantumTree(joint.layout, edges,
+                                  {e: joint.marginal(e) for e in edges})
+
+    def test_marginals_must_cover_the_edges(self):
+        joint, _ = self.path_tree()
+        with pytest.raises(TreeError, match="edge_marginals must cover exactly the edge set"):
+            QuantumTree(joint.layout, [("A", "B"), ("B", "C")],
+                        {("A", "B"): joint.marginal(("A", "B"))})
+
+    def test_vertex_marginal_of_unknown_vertex(self):
+        _, tree = self.path_tree()
+        with pytest.raises(TreeError, match="vertex 'Z' has no incident edge"):
+            tree.vertex_marginal("Z")
+
+    def test_chow_liu_on_one_label(self):
+        with pytest.raises(TreeError, match="need at least two vertices"):
+            chow_liu_tree(WeightedEdgeList.from_dict(("A",), {}))
+
+    def test_delta_s_of_estimator_on_other_labels(self):
+        _, tree = self.path_tree()
+        other = sample_density(SubsystemLayout(("A", "B", "D"), (2, 2, 2)), seed=7)
+        with pytest.raises(LayoutError, match="estimator labels do not match the tree"):
+            delta_s(tree, other)
+
+    def test_learn_tree_on_marginals_without_layout(self):
+        joint, _ = self.path_tree()
+        with pytest.raises(TreeError, match="layout is required with marginal-only input"):
+            learn_tree(pairwise_marginals(joint))
+
+
 class TestChowLiu:
     def test_three_vertex_oracle(self):
         weights = WeightedEdgeList.from_dict(
