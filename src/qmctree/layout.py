@@ -294,3 +294,12 @@ def spanning_tree_problem(labels, edges) -> str | None:
         if not union(a, b):
             return f"edge set has a cycle through {a}-{b}"
     return None
+
+
+def tree_neighbours(labels, edges) -> dict:
+    """Each label's neighbours along ``edges``, in edge order."""
+    neighbours = {l: [] for l in labels}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return neighbours

@@ -23,13 +23,10 @@ class MatrixError(ValueError):
 
 
 def frobenius(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)`` of a float or complex array, by its own
-    arithmetic without its dispatch."""
+    """``np.linalg.norm(a)``, by its own arithmetic without its dispatch."""
     x = a.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def is_hermitian(op: np.ndarray) -> bool:

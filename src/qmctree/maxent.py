@@ -196,11 +196,7 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
             targets, grad = targets + fixed, grad - fixed
             if _residual(grad, marginals) <= GRAD_TOL:
                 break
-        try:
-            step = np.linalg.solve(hess + reg * np.eye(len(grad)), -grad)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-            step = -step if np.vdot(grad, step).real > 0 else step
+        step = np.linalg.solve(hess + reg * np.eye(len(grad)), -grad)
         step = step - null @ (null.conj().T @ step)
         if np.vdot(grad, step).real >= 0:
             step = -grad  # fall back to steepest descent

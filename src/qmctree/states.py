@@ -18,6 +18,7 @@ from .layout import (
     embed,
     partial_trace,
     spanning_tree_problem,
+    tree_neighbours,
 )
 from .linalg import (
     NEGATIVITY_TOL,
@@ -281,16 +282,13 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     if rho.layout.labels != sigma.layout.labels or rho.layout.dims != sigma.layout.dims:
         raise LayoutError("relative entropy requires matching layouts")
-    p = rho.eigenvalues()
     q, v = sigma.eig.eigenvalues, sigma.eig.eigenvectors
     weights = np.sum(v.conj() * (rho.matrix @ v), axis=0).real  # <v_j|rho|v_j>
     q_ker = q <= support_cutoff(q)
     if float(np.sum(weights[q_ker])) > 1e-10:
         return math.inf
-    p = p[p > support_cutoff(p)]
-    term_p = float(np.sum(p * np.log(p)))
     term_q = float(weights[~q_ker] @ np.log(q[~q_ker]))
-    return term_p - term_q
+    return -von_neumann_entropy(rho) - term_q
 
 
 def mutual_information(rho: DensityOperator, part1, part2) -> float:
@@ -467,10 +465,7 @@ def sample_markov_tree(
 
 
 def _sample_classical_backbone_tree(layout, edges, rng) -> DensityOperator:
-    adj = {l: [] for l in layout.labels}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = tree_neighbours(layout.labels, edges)
     internal = [l for l in layout.labels if len(adj[l]) > 1]
     leaves = [l for l in layout.labels if len(adj[l]) == 1]
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .layout import (
     LayoutError,
@@ -11,6 +12,7 @@ from .layout import (
     embed,
     partial_trace,
     spanning_tree_problem,
+    tree_neighbours,
     union_find,
 )
 from .recovery import (
@@ -89,14 +91,20 @@ class QuantumTree:
         if conflict is not None:
             raise TreeError(conflict)
 
+    @cached_property
+    def _neighbours(self) -> dict:
+        """Each vertex's neighbours, in edge order."""
+        return tree_neighbours(self.layout.labels, self.edges)
+
     def degree(self, v: str) -> int:
-        return sum(v in e for e in self.edges)
+        return len(self._neighbours.get(v, ()))
 
     def vertex_marginal(self, v: str) -> DensityOperator:
-        for e in self.edges:
-            if v in e:
-                return self.edge_marginals[e].marginal((v,))
-        raise TreeError(f"vertex {v!r} has no incident edge")
+        """The state on ``v`` of the first edge marginal that holds it."""
+        neighbours = self._neighbours.get(v)
+        if not neighbours:
+            raise TreeError(f"vertex {v!r} has no incident edge")
+        return self.edge_marginals[_sorted_pair((v, neighbours[0]))].marginal((v,))
 
     def peel_order(self):
         """Leaf-elimination sequence (leaf, neighbor, remaining labels).
@@ -104,20 +112,14 @@ class QuantumTree:
         The lowest-label leaf goes first at every step; peeling stops when a
         single edge remains.
         """
-        remaining = set(self.layout.labels)
-        edges = set(self.edges)
+        neigh = {v: list(ws) for v, ws in self._neighbours.items()}
         steps = []
-        while len(remaining) > 2:
-            neigh = {v: [] for v in remaining}
-            for a, b in edges:
-                neigh[a].append(b)
-                neigh[b].append(a)
-            leaf = min(v for v in remaining if len(neigh[v]) == 1)
-            parent = neigh[leaf][0]
-            remaining.remove(leaf)
-            edges.remove(_sorted_pair((leaf, parent)))
-            steps.append((leaf, parent, tuple(sorted(remaining))))
-        return steps, _sorted_pair(tuple(remaining))
+        while len(neigh) > 2:
+            leaf = min(v for v, ws in neigh.items() if len(ws) == 1)
+            (parent,) = neigh.pop(leaf)
+            neigh[parent].remove(leaf)
+            steps.append((leaf, parent, tuple(sorted(neigh))))
+        return steps, _sorted_pair(tuple(neigh))
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,8 @@ def tree_recover(
     if steps:  # full-rank edges: certified by the spectrum S(sigma) reads; else one eigh
         state = _petz_state(m, layout, (parent,),
                             "eigh" if rank_deficient else "spectrum").state
+    elif state.layout != layout:  # a permutation keeps the marginal's spectrum
+        state = DensityOperator._certified(layout, m, state.eigenvalues())
     return TreeRecoveryResult(state, tuple(defects), rank_deficient, tuple(traces))
 
 
@@ -235,13 +239,9 @@ def delta_s(
         if dist is not None:
             raise EstimatorMarginalError(
                 f"estimator violates the {tuple(sorted(m.labels))} marginal by {dist:.3e}")
-    entropies = {}  # label set -> S of the estimator's marginal, taken once
 
-    def s(labels):
-        key = frozenset(labels)
-        if key not in entropies:
-            entropies[key] = von_neumann_entropy(estimator.marginal(key))
-        return entropies[key]
+    def s(labels):  # the estimator keeps each marginal and its spectrum
+        return von_neumann_entropy(estimator.marginal(labels))
 
     value = sum(von_neumann_entropy(m) for m in tree.edge_marginals.values())
     for v in tree.layout.labels:
@@ -285,12 +285,12 @@ class GapReport:
 
 def _gap_report(joint: DensityOperator, tree: QuantumTree, mi: dict,
                 ds: DeltaSReport, total: float | None = None) -> GapReport:
-    """The ledger from the edge mutual informations ``mi`` and the
-    estimator's ``delta_s`` report; ``total`` None takes the ledger sum."""
-    report = GapReport(total, -sum(mi[e] for e in tree.edges), -ds.delta_s,
-                       sum(von_neumann_entropy(joint.marginal((v,))) for v in joint.labels),
-                       -von_neumann_entropy(joint))
-    return report if total is not None else replace(report, total=report.decomposition_sum)
+    """The ledger from the edge mutual informations ``mi``, the tree's vertex
+    states and the estimator's ``delta_s`` report; ``total`` None takes the sum."""
+    parts = (-sum(mi[e] for e in tree.edges), -ds.delta_s,
+             sum(von_neumann_entropy(tree.vertex_marginal(v)) for v in tree.layout.labels),
+             -von_neumann_entropy(joint))
+    return GapReport(sum(parts) if total is None else total, *parts)
 
 
 def relative_entropy_gap(

@@ -360,6 +360,27 @@ class TestSelect:
         assert report["rule"] == "min_entropy"
         assert "falling back" in captured.err
 
+    def test_pair_files_fallback_skips_an_incompatible_chain(self, tmp_path, capsys):
+        # A,C is rho_A (x) tau_C, so no state has all three pairs: petz_recover
+        # fails on chain B-C-A, which the min-entropy rule leaves unscored
+        state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=5)
+        tau = sample_density(SubsystemLayout(("C",), (2,)), seed=9)
+        ac = DensityOperator(SubsystemLayout(("A", "C"), (2, 2)),
+                             np.kron(state.marginal(("A",)).matrix, tau.matrix))
+        paths = []
+        for name, m in [("AB", state.marginal(("A", "B"))),
+                        ("BC", state.marginal(("B", "C"))), ("AC", ac)]:
+            paths.append(str(tmp_path / f"{name}.json"))
+            write_density(paths[-1], m)
+        assert main(["select", "--pairs", *paths]) == 0
+        captured = capsys.readouterr()
+        report = parse_report(captured.out)
+        assert report["rule"] == "min_entropy"
+        assert report["chain"] == "B-A-C"
+        assert sorted(k for k in report if k.startswith("score_")) == [
+            "score_A-B-C", "score_B-A-C"]
+        assert "chain B-C-A fails the compatibility check" in captured.err
+
     def test_joint_output_written(self, tmp_path, capsys):
         state = sample_markov_path(("A", "B", "C"), (2, 2, 2), seed=109)
         joint, out = tmp_path / "joint.json", tmp_path / "est.json"

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import qmctree
 from qmctree import SubsystemLayout, embed, maximally_mixed, partial_trace
-from qmctree.layout import LayoutError, _product_plan, local_product, union_find
+from qmctree.layout import (
+    LayoutError,
+    _product_plan,
+    local_product,
+    tree_neighbours,
+    union_find,
+)
 from qmctree.recovery import compose_layouts
 
 from conftest import PROPERTY, layouts, local_cases
@@ -79,6 +85,12 @@ class TestUnionFind:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             union_find("AB")("A", "Z")
+
+
+class TestTreeNeighbours:
+    def test_neighbours_in_edge_order(self):
+        assert tree_neighbours("ABCD", [("B", "D"), ("A", "B"), ("B", "C")]) == {
+            "A": ["B"], "B": ["D", "A", "C"], "C": ["B"], "D": ["B"]}
 
 
 class TestPartialTrace:

@@ -301,6 +301,17 @@ class TestSolver:
         assert near.log_partition == pytest.approx(exact.log_partition, abs=1e-8)
         assert max(np.abs(l).max() for l in near.multipliers) < 10
 
+    def test_mismatch_only_along_null_directions(self):
+        # both targets are (1 + 5e-10) 1/4: the whole mismatch lies along
+        # multipliers that change no state, so taking it out at Lambda = 0
+        # leaves the start, 1/8, as the solution
+        ab = DensityOperator(LAB, (1 + 5e-10) * np.eye(4) / 4)
+        bc = DensityOperator(SubsystemLayout(("B", "C"), (2, 2)), (1 + 5e-10) * np.eye(4) / 4)
+        solution = solve_maxent(marginal_constraints(MarginalSet(L3Q, (ab, bc))))
+        assert solution.iterations == 1
+        assert solution.residual <= GRAD_TOL
+        np.testing.assert_array_equal(solution.state.matrix, np.eye(8) / 8)
+
     def test_unit_stack_matches_embedded_units(self):
         # v^dagger (E_jk (x) 1) v for a marginal on non-contiguous factors
         # named out of layout order

@@ -273,6 +273,18 @@ class TestTreeRecover:
         petz = petz_recover(ab, bc).state
         assert trace_distance(out.matrix, petz.matrix) < 1e-10
 
+    def test_two_vertices_on_the_tree_layout(self, rng):
+        # an edge marginal naming its factors in another order than the
+        # tree's layout comes back on the layout, as a larger tree's state does
+        rho = sample_density(SubsystemLayout(("A", "B"), (2, 3)), seed=rng)
+        ba = SubsystemLayout(("B", "A"), (3, 2))
+        tree = QuantumTree(ba, [("A", "B")], {("A", "B"): rho})
+        for out in (tree_recover(tree).state,
+                    learn_tree({("A", "B"): rho}, layout=ba).estimator):
+            assert out.layout == ba
+            np.testing.assert_array_equal(out.matrix, embed(rho.matrix, rho.layout, ba))
+            np.testing.assert_array_equal(out.eigenvalues(), rho.eigenvalues())
+
     @pytest.mark.parametrize("edges", [
         [("A", "B"), ("B", "C"), ("C", "D")],
         [("A", "B"), ("B", "C"), ("B", "D")],
