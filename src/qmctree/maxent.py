@@ -221,10 +221,12 @@ def minimize_dual(base: np.ndarray, constraints: ConstraintSet) -> MaxEntSolutio
             break  # line search stalled; report the honest residual
 
         if not untested and np.max(np.abs(lam), initial=0.0) > MULTIPLIER_CAP:
-            raise InfeasibleConstraintsError(
-                f"multiplier norm exceeded {MULTIPLIER_CAP:.1e}; "
-                "targets appear infeasible"
-            )
+            message = f"multiplier norm exceeded {MULTIPLIER_CAP:.1e}; targets appear infeasible"
+            deficient = next((m for m in marginals if not m.is_full_rank()), None)
+            if deficient is not None:  # a Gibbs state meets it only in the limit
+                message += (f"; target on ({', '.join(deficient.labels)}) is rank "
+                            "deficient; every Gibbs state is full rank")
+            raise InfeasibleConstraintsError(message)
     else:  # the last step's mismatch is not yet known
         grad = _mismatch(_unit_stack(constraints, v), ew, z, targets)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .layout import (
@@ -215,10 +215,23 @@ def tree_recover(
 
 @dataclass(frozen=True)
 class DeltaSReport:
-    """Entropy-combination gap of a tree estimator and its per-leaf terms."""
+    """Entropy-combination gap of a tree estimator and its per-leaf terms.
+    ``delta_s`` comes with the report; ``terms``, which need the estimator's
+    marginal on every peeled rest and its spectrum, are formed on first read."""
 
     delta_s: float
-    terms: tuple  # (leaf, conditional-mutual-information term)
+    _tree: QuantumTree = field(repr=False, compare=False)
+    _estimator: DensityOperator = field(repr=False, compare=False)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(leaf, conditional-mutual-information term) per peeling step."""
+        def s(labels):  # the estimator keeps each marginal and its spectrum
+            return von_neumann_entropy(self._estimator.marginal(labels))
+
+        # a step's scope, its leaf and rest, is the last step's rest or all labels
+        return tuple((leaf, s((leaf, parent)) + s(rest) - s((parent,)) - s((leaf,) + rest))
+                     for leaf, parent, rest in self._tree.peel_order()[0])
 
     @property
     def term_sum(self) -> float:
@@ -230,8 +243,9 @@ def delta_s(
     estimator: DensityOperator,
 ) -> DeltaSReport:
     """Sum of edge entropies minus weighted vertex entropies minus the
-    estimator entropy, with its leaf-peeling conditional terms.  An
-    estimator that breaks an edge marginal raises EstimatorMarginalError."""
+    estimator entropy.  The sum and the edge marginal checks are made here
+    (an estimator that breaks an edge marginal raises EstimatorMarginalError);
+    the leaf-peeling conditional terms are formed on first read."""
     if set(estimator.labels) != set(tree.layout.labels):
         raise LayoutError("estimator labels do not match the tree")
     for m in tree.edge_marginals.values():
@@ -240,19 +254,12 @@ def delta_s(
             raise EstimatorMarginalError(
                 f"estimator violates the {tuple(sorted(m.labels))} marginal by {dist:.3e}")
 
-    def s(labels):  # the estimator keeps each marginal and its spectrum
-        return von_neumann_entropy(estimator.marginal(labels))
-
     value = sum(von_neumann_entropy(m) for m in tree.edge_marginals.values())
     for v in tree.layout.labels:
         if tree.degree(v) > 1:  # a leaf's vertex term has weight 0
             value -= (tree.degree(v) - 1) * von_neumann_entropy(tree.vertex_marginal(v))
-    value -= s(estimator.labels)
-
-    # a step's scope, its leaf and rest, is the last step's rest or all labels
-    terms = tuple((leaf, s((leaf, parent)) + s(rest) - s((parent,)) - s((leaf,) + rest))
-                  for leaf, parent, rest in tree.peel_order()[0])
-    return DeltaSReport(float(value), terms)
+    value -= von_neumann_entropy(estimator)  # the spectrum the estimator keeps
+    return DeltaSReport(float(value), tree, estimator)
 
 
 @dataclass(frozen=True)
@@ -329,6 +336,9 @@ def learn_tree(
     ``source`` is either the full joint state or a dict of all pairwise
     marginals (then ``layout`` is required).  With joint access the report
     also carries the estimator's relative-entropy ledger, a ``GapReport``.
+    On full-rank edges the one joint-size spectrum taken is the estimator's:
+    the ledger reads the ``delta_s`` sum, not its terms, which are formed
+    only when read.
     """
     if isinstance(source, DensityOperator):
         joint = source

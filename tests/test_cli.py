@@ -594,6 +594,39 @@ class TestSolverFailure:
         assert captured.err.startswith("error: multiplier norm exceeded 1.0e+03")
         assert len(captured.err.splitlines()) == 1
 
+    RANK_CLAUSE = "is rank deficient; every Gibbs state is full rank"
+
+    def test_rank_deficient_targets_named(self, tmp_path, capsys):
+        pair = self.sample(tmp_path, "--kind", "random", "--rank", "1", "--seed", "3")
+        capsys.readouterr()
+        assert main(["diagram", *pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplier norm exceeded 1.0e+03; ")
+        assert err.rstrip().endswith("; target on (B, C) " + self.RANK_CLAUSE)
+
+    @pytest.mark.parametrize("command", [["diagram"], ["recover", "--method", "maxent"]])
+    def test_bell_files_named_rank_deficient(self, bell_files, tmp_path, capsys, command):
+        argv = [command[0], *bell_files, *command[1:]]
+        if command[0] == "recover":
+            argv += ["-o", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplier norm exceeded 1.0e+03; ")
+        assert self.RANK_CLAUSE in err
+        assert len(err.splitlines()) == 1
+
+    def test_full_rank_infeasible_targets_not_named(self, tmp_path, capsys):
+        # Werner(0.9) on A,B and on B,C: full rank, and no joint has both
+        vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        m = 0.9 * np.outer(vec, vec) + 0.1 * np.eye(4) / 4
+        paths = []
+        for labels in (("A", "B"), ("B", "C")):
+            paths.append(str(tmp_path / f"werner{''.join(labels)}.json"))
+            write_density(paths[-1], DensityOperator(SubsystemLayout(labels, (2, 2)), m))
+        assert main(["diagram", *paths]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: multiplier norm exceeded 1.0e+03; targets appear infeasible\n"
+
 
 class TestCounterexample:
     def test_generic_finds_failures(self, capsys):

@@ -32,6 +32,7 @@ from qmctree.maxent import (
     GRAD_TOL,
     ConstraintConflictError,
     ConstraintSet,
+    InfeasibleConstraintsError,
     MaxEntError,
     _dual_value,
     _gibbs,
@@ -512,3 +513,39 @@ class TestDiagram:
             ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
             verdict = check_qmc_compatibility(ab, bc).verdict
             assert diagram_commutes(ab, bc).commutes == verdict
+
+
+class TestInfeasibleTargets:
+    """A tripped multiplier cap names a rank-deficient target, read from its
+    kept spectrum: every Gibbs state is full rank, so such a target is met
+    only in the limit, whether or not some state has it."""
+
+    PREFIX = "multiplier norm exceeded 1.0e+03; targets appear infeasible"
+
+    def pair(self, p):
+        """p |Phi+><Phi+| + (1 - p) I/4 on A,B and on B,C: no joint state has
+        both for p near 1 (monogamy of entanglement)."""
+        vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        m = p * np.outer(vec, vec) + (1 - p) * np.eye(4) / 4
+        return tuple(DensityOperator(L3Q.restrict(labels), m)
+                     for labels in (("A", "B"), ("B", "C")))
+
+    def test_full_rank_infeasible_targets_not_called_rank_deficient(self):
+        ab, bc = self.pair(0.9)
+        assert ab.is_full_rank() and bc.is_full_rank()
+        with pytest.raises(InfeasibleConstraintsError) as err:
+            solve_maxent(ConstraintSet(L3Q, (ab, bc)))
+        assert str(err.value) == self.PREFIX
+
+    def test_rank_deficient_target_named(self):
+        ab, bc = self.pair(1.0)
+        with pytest.raises(InfeasibleConstraintsError) as err:
+            solve_maxent(ConstraintSet(L3Q, (ab, bc)))
+        assert str(err.value) == (self.PREFIX + "; target on (A, B) is rank "
+                                  "deficient; every Gibbs state is full rank")
+
+    def test_success_forms_no_target_spectrum(self):
+        joint = sample_density(L3Q, seed=31)
+        ab, bc = joint.marginal(("A", "B")), joint.marginal(("B", "C"))
+        solve_maxent(ConstraintSet(L3Q, (ab, bc)))
+        assert "_spectrum" not in vars(ab) and "_spectrum" not in vars(bc)

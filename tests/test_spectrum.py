@@ -25,6 +25,7 @@ from qmctree import (
     SubsystemLayout,
     best_pair_mutual_info,
     check_qmc_compatibility,
+    delta_s,
     learn_tree,
     marginal_constraints,
     maximally_mixed,
@@ -50,6 +51,7 @@ from qmctree.linalg import (
     support_cutoff,
 )
 from qmctree.recovery import compose_layouts
+from qmctree.tree import EstimatorMarginalError
 
 from conftest import PROPERTY, classical_chain, layouts, local_cases
 
@@ -336,6 +338,71 @@ class TestSpectrumKept:
         eig = hermitian_eig(np.diag([0.7, 0.5]).astype(complex))
         with pytest.raises(ValueError, match="trace"):
             DensityOperator._certified(layout, eig.reconstruct(), eig)
+
+
+class TestDeltaSTermsOnFirstRead:
+    """``learn_tree``'s ledger reads the ``delta_s`` sum, so the per-leaf
+    terms, which need the estimator's marginal on every peeled rest and its
+    spectrum, are formed when first read and then kept."""
+
+    EDGES = (("A", "B"), ("B", "C"), ("B", "D"), ("D", "E"), ("E", "F"))
+
+    def branched_tree(self, seed=25):
+        layout = SubsystemLayout(tuple("ABCDEF"), (2,) * 6)
+        return sample_markov_tree(layout, self.EDGES, seed=seed)
+
+    def test_learn_tree_takes_one_joint_size_spectrum(self, joint_size_calls,
+                                                      partial_traces):
+        joint = self.branched_tree()
+        joint.marginal(("A", "B"))  # the joint's own pair marginals are not counted
+        partial_traces.clear()
+        joint_size_calls.clear()
+        learned = learn_tree(joint)
+        assert learned.tree.edges == self.EDGES
+        assert all(e.is_full_rank() for e in learned.tree.edge_marginals.values())
+        # the estimator's spectrum, which certifies it and which S(sigma)
+        # reads, is the one solver call above 4 x 4; no estimator marginal
+        # above pair size is formed
+        assert joint_size_calls == [("eigvalsh", (64, 64))]
+        assert max(map(len, partial_traces)) <= 2
+        report = learned.delta_s_report
+        terms = report.terms
+        # the rests of the four peeling steps, on 5, 4, 3 and 2 labels
+        assert joint_size_calls[1:] == [("eigvalsh", (d, d)) for d in (32, 16, 8)]
+        assert sorted(map(len, partial_traces))[-3:] == [3, 4, 5]
+        joint_size_calls.clear()
+        partial_traces.clear()
+        assert report.terms is terms
+        assert report.term_sum == float(sum(t for _, t in terms))
+        assert not joint_size_calls and not partial_traces
+
+    @pytest.mark.parametrize("seed", [25, 26])
+    def test_terms_are_the_peeling_cmis_of_the_estimator(self, seed):
+        learned = learn_tree(self.branched_tree(seed))
+        sigma = learned.estimator
+
+        def s(labels):
+            return von_neumann_entropy(sigma.marginal(labels))
+
+        steps, _ = learned.tree.peel_order()
+        expected = tuple(
+            (leaf, s((leaf, parent)) + s(rest) - s((parent,)) - s((leaf,) + rest))
+            for leaf, parent, rest in steps)
+        assert [leaf for leaf, _ in learned.delta_s_report.terms] == [
+            leaf for leaf, _, _ in steps]
+        assert learned.delta_s_report.terms == expected  # to the bit
+        assert learned.delta_s_report.term_sum == pytest.approx(
+            learned.delta_s_report.delta_s, abs=1e-10)
+
+    def test_broken_edge_marginal_raises_at_the_call(self, partial_traces):
+        # the edge marginal checks stay eager: delta_s raises before any
+        # report, and so before any term, exists
+        joint = self.branched_tree()
+        tree = learn_tree(joint).tree
+        partial_traces.clear()
+        with pytest.raises(EstimatorMarginalError, match="marginal by"):
+            delta_s(tree, maximally_mixed(joint.layout))
+        assert max(map(len, partial_traces)) <= 2
 
 
 class TestPetzOutputSpectrum:
